@@ -654,6 +654,7 @@ class MonitorBank:
             raise SimulationError(f"malformed monitor bank state: {exc}") from exc
         for name, arr in (
             ("warmup_remaining", bank.warmup_remaining),
+            ("critical_eval", bank.critical_eval),
             ("win_start", bank._win_start),
             ("win_live", bank._win_live),
         ):

@@ -36,7 +36,10 @@ recency.  A scripted :class:`~repro.runtime.executors.chaos.FaultPlan`
 ``daemon_kill_decisions`` fault simulates exactly that crash: right
 after the N-th replay-log decision lands the daemon drops every link
 and dies *without* a final snapshot, and the chaos drill asserts a
-restored daemon regenerates a byte-identical log.
+restored daemon regenerates a byte-identical log.  The ``metrics``
+reply's totals report ``snapshots_written`` and the latest snapshot's
+event-loop pause (``last_snapshot_pause_ms``) and size
+(``last_snapshot_bytes``).
 
 With ``supervise=N`` the daemon babysits its own host agents through
 :class:`~repro.runtime.executors.supervisor.WorkerSupervisor`
@@ -125,6 +128,10 @@ class PartitionDaemon:
         #: True when startup state came from an existing snapshot file.
         self.restored = False
         self.snapshots_written = 0
+        #: Event-loop pause and file size of the latest snapshot written
+        #: (``None`` until the first one).
+        self.last_snapshot_pause_ms: Optional[float] = None
+        self.last_snapshot_bytes: Optional[int] = None
         if snapshot and os.path.exists(snapshot):
             restored = load_snapshot(snapshot)
             if restored.policy != policy:
@@ -193,12 +200,19 @@ class PartitionDaemon:
             "frame_errors": self.frame_errors,
             "drops": list(self.drop_events),
             "restored": self.restored,
-            "snapshots_written": self.snapshots_written,
+            **self._snapshot_totals(),
             **self.core.summary(),
         }
         if self._supervisor is not None:
             out["supervisor"] = self._supervisor.summary()
         return out
+
+    def _snapshot_totals(self) -> Dict[str, Any]:
+        return {
+            "snapshots_written": self.snapshots_written,
+            "last_snapshot_pause_ms": self.last_snapshot_pause_ms,
+            "last_snapshot_bytes": self.last_snapshot_bytes,
+        }
 
     def request_stop(self) -> None:
         """Ask :meth:`run` to exit at the next pump boundary (SIGTERM path)."""
@@ -363,6 +377,7 @@ class PartitionDaemon:
                 self.frame_errors += 1
                 self._drop_link(link, reason=f"bad metrics request: {exc}")
                 return
+            reply[1]["totals"].update(self._snapshot_totals())
             self._send(link, pack_frame(reply))
             return
         if link.host is None:
@@ -423,6 +438,15 @@ class PartitionDaemon:
 
     # -- checkpoints and scripted crashes ---------------------------------------------
 
+    def write_snapshot(self) -> None:
+        """Write a snapshot now, recording the event-loop pause and size."""
+        if not self.snapshot:
+            raise SimulationError("this daemon has no snapshot path")
+        started = time.perf_counter()
+        self.last_snapshot_bytes = save_snapshot(self.core, self.snapshot)
+        self.last_snapshot_pause_ms = (time.perf_counter() - started) * 1e3
+        self.snapshots_written += 1
+
     def _maybe_snapshot(self) -> None:
         """Periodic checkpoint at a pump boundary (the bank is flushed here)."""
         if not self.snapshot or self.snapshot_every_s <= 0:
@@ -433,8 +457,7 @@ class PartitionDaemon:
             return
         if now < self._next_snapshot_due:
             return
-        save_snapshot(self.core, self.snapshot)
-        self.snapshots_written += 1
+        self.write_snapshot()
         self._next_snapshot_due = now + self.snapshot_every_s
 
     def _maybe_chaos_kill(self) -> None:
@@ -494,8 +517,7 @@ class PartitionDaemon:
         if self.snapshot and not self.killed:
             # Orderly shutdown (including SIGTERM) checkpoints first, so a
             # restarted daemon resumes exactly where this one stopped.
-            save_snapshot(self.core, self.snapshot)
-            self.snapshots_written += 1
+            self.write_snapshot()
         for link in list(self._links):
             self._drop_link(link, reason="daemon shutting down")
         try:
