@@ -25,7 +25,7 @@ Factory conventions (all keyword arguments come from ``PolicySpec.params``):
   :class:`~repro.experiments.specs.SolverSpec` as the keyword ``solver``
   (used by ``best_static`` to pick the scoring backend and search budget).
 * **drivers** — the factory (usually the driver class itself) is shipped in a
-  :class:`~repro.runtime.batch.RunSpec` and called once per run inside the
+  :class:`~repro.runtime.executors.base.RunSpec` and called once per run inside the
   worker, so it must be picklable (module level).  A factory with
   ``wants_profiles = True`` receives the workload's stationary profiles as
   the keyword ``profiles`` (used by the ``static`` replay driver).
@@ -281,7 +281,6 @@ def _tcp_kwargs(spec):
         connect_timeout_s=spec.connect_timeout_s,
         task_timeout_s=spec.task_timeout_s,
         max_retries=spec.max_retries,
-        unsafe_pickle=spec.unsafe_pickle,
         chaos=spec.fault_plan(),
     )
 

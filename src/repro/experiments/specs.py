@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.errors import ReproError, SpecError
+from repro.errors import ReproError, SimulationError, SpecError
 from repro.experiments.registry import (
     DRIVERS,
     ENGINE_BACKENDS,
@@ -45,6 +45,7 @@ from repro.experiments.registry import (
 )
 from repro.hardware.platform import PlatformSpec
 from repro.runtime.engine import EngineConfig
+from repro.runtime.executors.links import parse_address
 from repro.workloads.generator import Workload, random_workload
 
 __all__ = [
@@ -528,9 +529,7 @@ class ExecutorSpec:
     ``None`` = ``max(3 * heartbeat_s, 10)``) / ``connect_timeout_s`` /
     ``task_timeout_s`` (hard per-run bound on a busy worker; ``None`` = no
     bound) / ``max_retries`` tune the ``tcp`` fault handling and are ignored
-    elsewhere.  ``unsafe_pickle`` opts the coordinator into the legacy
-    pickle wire codec (trusted networks only; workers must pass
-    ``--unsafe-pickle`` too), and ``chaos`` is an optional coordinator-side
+    elsewhere.  ``chaos`` is an optional coordinator-side
     :class:`~repro.runtime.executors.chaos.FaultPlan` as a mapping —
     deterministic fault drills straight from a spec file.
     """
@@ -543,7 +542,6 @@ class ExecutorSpec:
     connect_timeout_s: float = 60.0
     task_timeout_s: Optional[float] = None
     max_retries: int = 2
-    unsafe_pickle: bool = False
     chaos: Optional[Mapping[str, Any]] = None
 
     def __post_init__(self) -> None:
@@ -561,14 +559,19 @@ class ExecutorSpec:
             raise SpecError("executor task_timeout_s must be > 0")
         if self.max_retries < 0:
             raise SpecError("executor max_retries must be >= 0")
-        if not isinstance(self.unsafe_pickle, bool):
-            raise SpecError("executor unsafe_pickle must be a boolean")
+        if self.bind is not None:
+            # Fail at load, not when the study starts its coordinator.
+            if not isinstance(self.bind, str):
+                raise SpecError(f"executor bind must be 'host:port', got {self.bind!r}")
+            try:
+                parse_address(self.bind)
+            except SimulationError as exc:
+                raise SpecError(f"executor bind is invalid: {exc}") from exc
         if self.chaos is not None:
             object.__setattr__(self, "chaos", dict(self.fault_plan().to_dict()))
 
     def fault_plan(self):
         """The validated :class:`FaultPlan` behind the ``chaos`` mapping."""
-        from repro.errors import SimulationError
         from repro.runtime.executors.chaos import FaultPlan
 
         try:
@@ -602,7 +605,6 @@ class ExecutorSpec:
         "connect_timeout_s",
         "task_timeout_s",
         "max_retries",
-        "unsafe_pickle",
         "chaos",
     )
 
@@ -648,9 +650,6 @@ class ExecutorSpec:
             max_retries=_as_int(
                 data.get("max_retries", defaults.max_retries),
                 "ExecutorSpec.max_retries",
-            ),
-            unsafe_pickle=_as_bool(
-                data.get("unsafe_pickle", False), "ExecutorSpec.unsafe_pickle"
             ),
             chaos=data.get("chaos"),
         )
@@ -723,7 +722,6 @@ class ServiceSpec:
 
     def fault_plan(self):
         """The validated :class:`FaultPlan` behind ``agent_chaos``."""
-        from repro.errors import SimulationError
         from repro.runtime.executors.chaos import FaultPlan
 
         try:
@@ -733,7 +731,6 @@ class ServiceSpec:
 
     def create(self, *, quiet: bool = True):
         """Build the live :class:`~repro.service.daemon.PartitionDaemon`."""
-        from repro.runtime.executors.tcp import parse_address
         from repro.service.daemon import PartitionDaemon
 
         return PartitionDaemon(
@@ -1202,7 +1199,7 @@ def resolve_driver(spec: PolicySpec, solver: Optional[SolverSpec] = None):
     """``(factory, kwargs, wants_profiles)`` for a dynamic-scenario spec.
 
     The factory and kwargs are shipped in a
-    :class:`~repro.runtime.batch.RunSpec`; when ``wants_profiles`` is true the
+    :class:`~repro.runtime.executors.base.RunSpec`; when ``wants_profiles`` is true the
     lowering adds the workload's stationary profiles under ``profiles``.
     """
     if spec.instance is not None:

@@ -22,12 +22,9 @@ from repro.runtime.executors import (
     execute_run,
     run_worker,
 )
-from repro.runtime.batch import BatchRunner, pool_map
 
 __all__ = [
-    "BatchRunner",
     "RunSpec",
-    "pool_map",
     "Executor",
     "SerialExecutor",
     "PoolExecutor",

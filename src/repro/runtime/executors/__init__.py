@@ -9,14 +9,18 @@ Three backends ship in the box, all producing bit-identical results:
   supervised by the coordinator itself (``supervise=N`` / the
   ``supervised`` executor spec).
 
-The TCP wire protocol is schema-versioned and safe by default
-(:mod:`repro.runtime.executors.framing`); the legacy pickle codec is an
-explicit two-sided opt-in.  Resilience is testable: a seeded
-:class:`FaultPlan` (:mod:`repro.runtime.executors.chaos`) scripts frame
-corruption, drops, duplicates, worker kills and slow replies at exact
-points, and :class:`WorkerSupervisor`
-(:mod:`repro.runtime.executors.supervisor`) respawns dead workers with
-capped backoff behind a crash-loop circuit breaker.
+The TCP wire protocol is schema-versioned and has one codec, the safe one
+(:mod:`repro.runtime.executors.framing`); a frame with the removed pickle
+tag is refused.  The TCP coordinator and the partitioning daemon
+(:mod:`repro.service.daemon`) run on one shared single-threaded socket
+loop (:mod:`repro.runtime.executors.links`).
+
+Resilience is testable: a seeded :class:`FaultPlan`
+(:mod:`repro.runtime.executors.chaos`) scripts frame corruption, drops,
+duplicates, worker kills and slow replies at exact points, and
+:class:`WorkerSupervisor` (:mod:`repro.runtime.executors.supervisor`)
+respawns dead workers with capped backoff behind a crash-loop circuit
+breaker.
 
 See :mod:`repro.runtime.executors.base` for the protocol
 (``submit`` / ``as_completed`` / ``map_specs``) and
@@ -39,17 +43,17 @@ from repro.runtime.executors.base import (
 )
 from repro.runtime.executors.chaos import FaultPlan
 from repro.runtime.executors.framing import (
-    CODEC_PICKLE,
     CODEC_SAFE,
     PROTOCOL_VERSION,
     FrameProtocolError,
     ProtocolError,
     trust_modules,
 )
+from repro.runtime.executors.links import parse_address
 from repro.runtime.executors.pool import PoolExecutor
 from repro.runtime.executors.serial import SerialExecutor
 from repro.runtime.executors.supervisor import WorkerSupervisor
-from repro.runtime.executors.tcp import TCPExecutor, parse_address
+from repro.runtime.executors.tcp import TCPExecutor
 from repro.runtime.executors.worker import run_worker
 
 __all__ = [
@@ -67,7 +71,6 @@ __all__ = [
     "ProtocolError",
     "PROTOCOL_VERSION",
     "CODEC_SAFE",
-    "CODEC_PICKLE",
     "trust_modules",
     "execute_run",
     "worker_tables",

@@ -22,8 +22,8 @@ protocol the strategies implement and the single-run kernel they all share:
 
 Executors are generic underneath: ``set_context(worker_fn, payload)`` ships
 an arbitrary picklable ``worker_fn(payload, task) -> result`` pair, which is
-how :func:`repro.runtime.batch.pool_map` (static-study sharding) rides the
-same backends.  ``prepare(platform, ...)`` is the :class:`RunSpec` layer on
+how the static study (:func:`repro.experiments.study.run_study`) shards
+per-workload evaluation on the same backends.  ``prepare(platform, ...)`` is the :class:`RunSpec` layer on
 top, installing :func:`execute_run` with a :class:`RunContext`.
 
 Backends register under a string name in

@@ -11,37 +11,35 @@ Every message on the wire is::
 
     [4-byte big-endian length][1-byte codec tag][payload]
 
-where the length covers the tag byte plus the payload.  Two codecs exist:
+where the length covers the tag byte plus the payload.  There is one codec,
+the **safe** codec (tag ``0x02``): a stdlib-JSON envelope with raw binary
+sections for NumPy arrays and byte strings::
 
-* **safe** (tag ``0x02``, the default) — a stdlib-JSON envelope with raw
-  binary sections for NumPy arrays and byte strings::
+    [4-byte json length][UTF-8 JSON][section 0][section 1]...
 
-      [4-byte json length][UTF-8 JSON][section 0][section 1]...
+The JSON carries the protocol version, the section lengths, and the
+message body as a *tagged tree*: scalars are plain JSON, every container
+or rich value is a single-key marker object (``{"t": [...]}`` for a
+tuple, ``{"nd": i, ...}`` for an ndarray stored in section ``i``, and so
+on).  Classes and functions travel as ``module:qualname`` references and
+object instances as a reference plus their encoded state — *never* as
+executable payloads.  The decoder only resolves references into an
+allowlist of trusted module prefixes (``repro`` and anything added with
+:func:`trust_modules` or the ``REPRO_TRUSTED_MODULES`` environment
+variable), so a hostile peer cannot make the receiver import or call
+arbitrary code.
 
-  The JSON carries the protocol version, the section lengths, and the
-  message body as a *tagged tree*: scalars are plain JSON, every container
-  or rich value is a single-key marker object (``{"t": [...]}`` for a
-  tuple, ``{"nd": i, ...}`` for an ndarray stored in section ``i``, and so
-  on).  Classes and functions travel as ``module:qualname`` references and
-  object instances as a reference plus their encoded state — *never* as
-  executable payloads.  The decoder only resolves references into an
-  allowlist of trusted module prefixes (``repro`` and anything added with
-  :func:`trust_modules` or the ``REPRO_TRUSTED_MODULES`` environment
-  variable), so a hostile peer cannot make the receiver import or call
-  arbitrary code.
-
-* **pickle** (tag ``0x01``) — the legacy transport.  Unpickling executes
-  arbitrary code, so it is an explicit escape hatch for trusted networks
-  only: the coordinator needs ``codec="pickle"`` and workers the
-  ``--unsafe-pickle`` flag, and a peer that was *not* opted in refuses
-  pickle frames with a loud :class:`ProtocolError` instead of decoding
-  them.
+Tag ``0x01`` belonged to a pickle codec that has been removed.  A frame
+carrying it is refused with a :class:`FrameProtocolError` and is never
+unpickled; like any other refused frame it costs the sender its link (see
+:mod:`repro.runtime.executors.links`).
 
 Version skew is detected twice: every safe envelope embeds
 :data:`PROTOCOL_VERSION`, and the worker handshake (``("hello", {...})``,
 see :mod:`repro.runtime.executors.worker`) negotiates version and codec
-before any run is dispatched.  Both mismatches surface as
-:class:`ProtocolError`, never as silent misbehaviour.
+before any run is dispatched; a worker asking for any codec but ``"safe"``
+is rejected.  Both mismatches surface as :class:`ProtocolError`, never as
+silent misbehaviour.
 """
 
 from __future__ import annotations
@@ -50,7 +48,6 @@ import collections
 import importlib
 import json
 import os
-import pickle
 import socket
 import struct
 import types
@@ -63,7 +60,6 @@ from repro.errors import SimulationError
 __all__ = [
     "PROTOCOL_VERSION",
     "CODEC_SAFE",
-    "CODEC_PICKLE",
     "pack_frame",
     "send_frame",
     "recv_frame",
@@ -82,13 +78,12 @@ __all__ = [
 #: refuse each other loudly at handshake time instead of misparsing.
 PROTOCOL_VERSION = 2
 
+#: The one wire codec; workers advertise it in their hello.
 CODEC_SAFE = "safe"
-CODEC_PICKLE = "pickle"
 
-_TAG_PICKLE = 0x01
 _TAG_SAFE = 0x02
-_TAG_NAMES = {_TAG_PICKLE: CODEC_PICKLE, _TAG_SAFE: CODEC_SAFE}
-_CODEC_TAGS = {CODEC_PICKLE: _TAG_PICKLE, CODEC_SAFE: _TAG_SAFE}
+#: Tag of the removed pickle codec, kept only to refuse it by name.
+_TAG_REMOVED_PICKLE = 0x01
 
 
 class FrameProtocolError(SimulationError):
@@ -100,7 +95,7 @@ class FrameProtocolError(SimulationError):
 
 
 #: The public name for wire-protocol violations (version skew, refused
-#: codecs, untrusted references); ``FrameProtocolError`` is the historical
+#: codec tags, untrusted references); ``FrameProtocolError`` is the historical
 #: alias and remains the actual class for isinstance checks.
 ProtocolError = FrameProtocolError
 
@@ -496,53 +491,36 @@ def decode_payload(payload: bytes) -> Any:
 # ---------------------------------------------------------------------------
 
 
-def _decode_body(body: bytes, *, allow_pickle: bool) -> Any:
+def _decode_body(body: bytes) -> Any:
     if not body:
         raise FrameProtocolError("empty frame (no codec tag)")
     tag = body[0]
     if tag == _TAG_SAFE:
         return decode_payload(body[1:])
-    if tag == _TAG_PICKLE:
-        if not allow_pickle:
-            raise FrameProtocolError(
-                "peer sent a pickle frame but this side only accepts the safe "
-                "codec; opt in explicitly on both sides (coordinator: "
-                "codec='pickle' / --unsafe-pickle, worker: --unsafe-pickle) "
-                "if you trust the network"
-            )
-        try:
-            return pickle.loads(body[1:])
-        except Exception as exc:
-            raise FrameProtocolError(f"corrupt pickle frame: {exc}")
+    if tag == _TAG_REMOVED_PICKLE:
+        raise FrameProtocolError(
+            "peer sent a pickle frame (tag 0x01), but the pickle codec was "
+            "removed; only the safe codec (tag 0x02) is accepted"
+        )
     raise FrameProtocolError(
-        f"unknown codec tag 0x{tag:02x} (known: "
-        f"{', '.join(f'0x{t:02x}={n}' for t, n in sorted(_TAG_NAMES.items()))})"
+        f"unknown codec tag 0x{tag:02x} (known: 0x{_TAG_SAFE:02x}={CODEC_SAFE})"
     )
 
 
-def pack_frame(obj: Any, codec: str = CODEC_SAFE) -> bytes:
+def pack_frame(obj: Any) -> bytes:
     """Serialize one message: length prefix + codec tag + payload."""
-    try:
-        tag = _CODEC_TAGS[codec]
-    except KeyError:
-        raise FrameProtocolError(
-            f"unknown codec {codec!r} (known: {', '.join(sorted(_CODEC_TAGS))})"
-        )
-    if tag == _TAG_SAFE:
-        payload = encode_payload(obj)
-    else:
-        payload = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
+    payload = encode_payload(obj)
     if 1 + len(payload) > MAX_FRAME:
         raise FrameProtocolError(
             f"message of {len(payload)} bytes exceeds the {MAX_FRAME}-byte "
             f"frame limit"
         )
-    return b"".join([_HEADER.pack(1 + len(payload)), bytes([tag]), payload])
+    return b"".join([_HEADER.pack(1 + len(payload)), bytes([_TAG_SAFE]), payload])
 
 
-def send_frame(sock: socket.socket, obj: Any, codec: str = CODEC_SAFE) -> None:
+def send_frame(sock: socket.socket, obj: Any) -> None:
     """Blocking send of one framed message."""
-    sock.sendall(pack_frame(obj, codec))
+    sock.sendall(pack_frame(obj))
 
 
 def _recv_exactly(sock: socket.socket, n: int) -> Optional[bytes]:
@@ -560,7 +538,7 @@ def _recv_exactly(sock: socket.socket, n: int) -> Optional[bytes]:
     return b"".join(chunks)
 
 
-def recv_frame(sock: socket.socket, *, allow_pickle: bool = False) -> Optional[Any]:
+def recv_frame(sock: socket.socket) -> Optional[Any]:
     """Blocking receive of one framed message; None on clean EOF."""
     header = _recv_exactly(sock, _HEADER.size)
     if header is None:
@@ -571,22 +549,22 @@ def recv_frame(sock: socket.socket, *, allow_pickle: bool = False) -> Optional[A
     body = _recv_exactly(sock, length)
     if body is None:
         raise SimulationError("connection closed between frame header and payload")
-    return _decode_body(body, allow_pickle=allow_pickle)
+    return _decode_body(body)
 
 
 class FrameReader:
     """Incremental frame parser for non-blocking sockets.
 
-    Corruption — an oversized length prefix, an unknown codec tag, a refused
-    pickle, a malformed envelope — raises :class:`FrameProtocolError` out of
+    Corruption — an oversized length prefix, an unknown or removed codec
+    tag, a malformed envelope — raises :class:`FrameProtocolError` out of
     :meth:`feed`; truncation (bytes simply missing) never raises, the parser
-    just waits for more input.  The coordinator turns either into a dropped
-    link with a recorded reason, never an event-loop crash.
+    just waits for more input.  The shared link loop
+    (:class:`~repro.runtime.executors.links.LinkLoop`) turns a raise into a
+    dropped link with a recorded reason, never an event-loop crash.
     """
 
-    def __init__(self, *, allow_pickle: bool = False) -> None:
+    def __init__(self) -> None:
         self._buffer = bytearray()
-        self._allow_pickle = allow_pickle
 
     def pending(self) -> int:
         """Bytes buffered but not yet parsed into a complete frame."""
@@ -608,4 +586,4 @@ class FrameReader:
                 return
             body = bytes(self._buffer[_HEADER.size : end])
             del self._buffer[:end]
-            yield _decode_body(body, allow_pickle=self._allow_pickle)
+            yield _decode_body(body)

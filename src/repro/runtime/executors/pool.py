@@ -1,6 +1,6 @@
 """Spawn-pool executor: the single-host parallel backend.
 
-Ports the pre-executor ``BatchRunner``/``pool_map`` spawn pool onto the
+The spawn pool behind the
 :class:`~repro.runtime.executors.base.Executor` protocol, built on
 ``concurrent.futures.ProcessPoolExecutor`` (spawn context).  The shared
 context ``(worker_fn, payload)`` travels through the pool initializer

@@ -34,6 +34,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import SimulationError
+from repro.runtime.executors.links import parse_address
 
 __all__ = ["WorkerSupervisor"]
 
@@ -61,7 +62,6 @@ class WorkerSupervisor:
         address: Union[str, Tuple[str, int]],
         *,
         count: int = 1,
-        unsafe_pickle: bool = False,
         subcommand: Sequence[str] = ("worker",),
         extra_args: Sequence[str] = (),
         slot_extra: Sequence[Sequence[str]] = (),
@@ -84,12 +84,9 @@ class WorkerSupervisor:
                 f"({count}), got {len(slot_extra)}"
             )
         if isinstance(address, str):
-            from repro.runtime.executors.tcp import parse_address
-
             address = parse_address(address)
         self.address = address
         self.count = count
-        self.unsafe_pickle = unsafe_pickle
         self.subcommand = tuple(subcommand)
         self.extra_args = tuple(extra_args)
         #: Per-slot arguments appended on *every* spawn of that slot (unlike
@@ -121,8 +118,6 @@ class WorkerSupervisor:
             f"{host}:{port}",
             "--quiet",
         ]
-        if self.unsafe_pickle:
-            cmd.append("--unsafe-pickle")
         cmd.extend(self.extra_args)
         if self.slot_extra:
             cmd.extend(self.slot_extra[slot.index])

@@ -1,10 +1,13 @@
 """The partitioning daemon: a long-lived control plane over TCP.
 
-``repro.cli serve`` runs one :class:`PartitionDaemon`: a single-threaded
-``selectors`` event loop — the same non-threaded design as the TCP
-executor coordinator, and for the same reasons: no locks, no races, and
-every run of the loop over the same frame sequence is deterministic,
-which the replay pin depends on.
+``repro.cli serve`` runs one :class:`PartitionDaemon` on the shared
+single-threaded socket loop
+(:class:`~repro.runtime.executors.links.LinkLoop`) — the very loop the TCP
+executor coordinator runs on, and for the same reasons: no locks, no
+races, and every run of the loop over the same frame sequence is
+deterministic, which the replay pin depends on.  The loop owns accept,
+reads, sends and drops; this module keeps frame collection, the core
+drain, snapshots and the ``frame_errors`` count.
 
 Each accepted connection must open with a validated ``host_hello``
 (version-negotiated; a mismatch is answered with a courtesy ``reject``
@@ -17,9 +20,9 @@ reads every ready link, collects the sequenced frames, and feeds them to
 ``MonitorBank.observe_batch`` call across all hosts, the scaling move
 that keeps this loop single-threaded and paper-faithful.  Each frame's
 reply — always exactly one ``mask_update`` — goes straight back on its
-wire.  Failure policy is inherited from the executor transport:
-**corruption or protocol violations cost the link, never the event
-loop.**  A torn frame waits for more bytes; a garbled one raises out of
+wire.  Failure policy is the shared loop's: **corruption or protocol
+violations cost the link, never the event loop.**  A torn frame waits for
+more bytes; a garbled one raises out of
 :class:`~repro.runtime.executors.framing.FrameReader` and is charged to
 ``frame_errors``; the agent reconnects — same boot token, so the session
 *resumes* and the agent replays its unacknowledged journal suffix — and
@@ -54,21 +57,15 @@ from __future__ import annotations
 
 import json
 import os
-import selectors
-import socket
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.core.lfoc import DEFAULT_PARAMS, LfocParams
 from repro.errors import SimulationError
 from repro.runtime.executors.chaos import FaultPlan
-from repro.runtime.executors.framing import (
-    FrameProtocolError,
-    FrameReader,
-    enable_keepalive,
-    pack_frame,
-)
+from repro.runtime.executors.framing import pack_frame
+from repro.runtime.executors.links import Link, LinkLoop
 from repro.service import protocol
 from repro.service.protocol import SEQUENCED_KINDS, ServiceProtocolError, check_frame
 from repro.service.replay import ReplayLog
@@ -78,17 +75,12 @@ from repro.service.snapshot import load_snapshot, save_snapshot
 __all__ = ["PartitionDaemon"]
 
 
-@dataclass
-class _AgentLink:
-    """One accepted connection and its parse state."""
+@dataclass(eq=False)
+class _AgentLink(Link):
+    """One accepted agent connection."""
 
-    sock: socket.socket
-    peer: str
-    reader: FrameReader
     #: Host id, set once the handshake completes; None while pending.
     host: Optional[str] = None
-    connected_at: float = 0.0
-    frames: int = field(default=0)
 
 
 class PartitionDaemon:
@@ -160,21 +152,15 @@ class PartitionDaemon:
         #: closed, **no** final snapshot — a simulated crash.
         self.killed = False
         self.quiet = quiet
-        #: Corrupt/violating frames charged to dropped links (never crashes).
-        self.frame_errors = 0
-        #: Every dropped link as ``(peer, reason)``, oldest first.
-        self.drop_events: List[Tuple[str, str]] = []
+        self._violations = 0  # well-framed frames that broke the protocol
         self._stop_requested = False
         self._next_snapshot_due: Optional[float] = None
 
-        self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._listener.bind(bind)
-        self._listener.listen(64)
-        self._listener.setblocking(False)
-        self._selector = selectors.DefaultSelector()
-        self._selector.register(self._listener, selectors.EVENT_READ, None)
-        self._links: List[_AgentLink] = []
+        self._loop = LinkLoop(bind, new_link=_AgentLink)
+        #: The loop's live links (the same list object).
+        self._links: List[_AgentLink] = self._loop.links
+        #: Every dropped link as ``(peer, reason)``, oldest first.
+        self.drop_events: List[Tuple[str, str]] = self._loop.drop_events
         self._supervisor = None
         self._closed = False
 
@@ -183,7 +169,12 @@ class PartitionDaemon:
     @property
     def address(self) -> Tuple[str, int]:
         """The ``(host, port)`` agents should ``--connect`` to."""
-        return self._listener.getsockname()
+        return self._loop.address
+
+    @property
+    def frame_errors(self) -> int:
+        """Corrupt/violating frames charged to dropped links (never crashes)."""
+        return self._loop.bad_frames + self._violations
 
     @property
     def replay(self) -> ReplayLog:
@@ -225,11 +216,11 @@ class PartitionDaemon:
         into one core drain (one fused ``observe_batch``), reply, then
         checkpoint / chaos / supervise."""
         drain: List[Tuple[_AgentLink, str, Dict[str, Any]]] = []
-        for key, _events in self._selector.select(timeout):
-            if key.data is None:
-                self._accept_all()
-            else:
-                self._read_link(key.data, drain)
+        for link, frames in self._loop.poll(timeout):
+            for frame in frames:
+                self._collect_frame(link, frame, drain)
+                if link not in self._links:
+                    break  # the handler dropped the link
         if drain:
             self._handle_drain(drain)
         self._maybe_chaos_kill()
@@ -307,51 +298,7 @@ class PartitionDaemon:
             )
         self._supervisor.poll()
 
-    # -- connections -----------------------------------------------------------------
-
-    def _accept_all(self) -> None:
-        while True:
-            try:
-                sock, addr = self._listener.accept()
-            except (BlockingIOError, InterruptedError):
-                return
-            except OSError:
-                return
-            sock.setblocking(False)
-            enable_keepalive(sock)
-            link = _AgentLink(
-                sock=sock,
-                peer=f"{addr[0]}:{addr[1]}",
-                reader=FrameReader(),
-                connected_at=time.monotonic(),
-            )
-            self._links.append(link)
-            self._selector.register(sock, selectors.EVENT_READ, link)
-
-    def _read_link(
-        self, link: _AgentLink, drain: List[Tuple[_AgentLink, str, Dict[str, Any]]]
-    ) -> None:
-        try:
-            data = link.sock.recv(1 << 20)
-        except (BlockingIOError, InterruptedError):
-            return
-        except OSError:
-            self._drop_link(link, reason="read error")
-            return
-        if not data:
-            # Clean EOF: agent exited, was killed, or is reconnecting.
-            self._drop_link(link, reason="connection closed")
-            return
-        try:
-            frames = list(link.reader.feed(data))
-        except Exception as exc:
-            self.frame_errors += 1
-            self._drop_link(link, reason=f"bad frame: {exc}")
-            return
-        for frame in frames:
-            self._collect_frame(link, frame, drain)
-            if link not in self._links:
-                return  # the handler dropped the link
+    # -- frames --------------------------------------------------------------------
 
     def _collect_frame(
         self,
@@ -364,49 +311,47 @@ class PartitionDaemon:
         try:
             kind, payload = check_frame(frame)
         except ServiceProtocolError as exc:
-            self.frame_errors += 1
-            self._drop_link(link, reason=f"invalid frame: {exc}")
+            self._violations += 1
+            self._loop.drop(link, f"invalid frame: {exc}")
             return
-        link.frames += 1
         if kind == "metrics":
             # Read-only observability: answered from any connection, bound
             # or not, without touching session state.
             try:
                 reply = self.core.handle_metrics(payload)
             except ServiceProtocolError as exc:
-                self.frame_errors += 1
-                self._drop_link(link, reason=f"bad metrics request: {exc}")
+                self._violations += 1
+                self._loop.drop(link, f"bad metrics request: {exc}")
                 return
             reply[1]["totals"].update(self._snapshot_totals())
-            self._send(link, pack_frame(reply))
+            self._loop.send(link, pack_frame(reply))
             return
         if link.host is None:
             if kind != "host_hello":
-                self.frame_errors += 1
-                self._drop_link(link, reason=f"{kind!r} before host_hello")
+                self._violations += 1
+                self._loop.drop(link, f"{kind!r} before host_hello")
                 return
             try:
                 reply = self.core.handle_hello(payload)
             except ServiceProtocolError as exc:
                 # Courtesy reject so the agent's error names the mismatch.
-                try:
-                    link.sock.settimeout(5.0)
-                    link.sock.sendall(pack_frame(protocol.reject(str(exc))))
-                except OSError:
-                    pass
-                self._drop_link(link, reason=f"handshake rejected: {exc}")
+                self._loop.reject(
+                    link,
+                    pack_frame(protocol.reject(str(exc))),
+                    f"handshake rejected: {exc}",
+                )
                 return
             # One live link per host: a reconnecting agent's fresh hello
             # supersedes the old connection even before its EOF surfaces.
             for other in list(self._links):
                 if other is not link and other.host == payload["host"]:
-                    self._drop_link(other, reason="superseded by a newer connection")
+                    self._loop.drop(other, "superseded by a newer connection")
             link.host = payload["host"]
-            self._send(link, pack_frame(reply))
+            self._loop.send(link, pack_frame(reply))
             return
         if kind not in SEQUENCED_KINDS:
-            self.frame_errors += 1
-            self._drop_link(link, reason=f"unexpected {kind!r} after handshake")
+            self._violations += 1
+            self._loop.drop(link, f"unexpected {kind!r} after handshake")
             return
         drain.append((link, kind, payload))
 
@@ -431,10 +376,10 @@ class PartitionDaemon:
         )
         for (link, kind, _payload), result in zip(entries, results):
             if isinstance(result, Exception):
-                self.frame_errors += 1
-                self._drop_link(link, reason=f"protocol violation: {result}")
+                self._violations += 1
+                self._loop.drop(link, f"protocol violation: {result}")
             elif link in self._links:
-                self._send(link, pack_frame(result))
+                self._loop.send(link, pack_frame(result))
 
     # -- checkpoints and scripted crashes ---------------------------------------------
 
@@ -471,42 +416,8 @@ class PartitionDaemon:
         self._kill_decisions.pop(0)
         self.killed = True
         for link in list(self._links):
-            self._drop_link(link, reason="daemon killed by fault plan")
-        try:
-            self._selector.unregister(self._listener)
-        except (KeyError, ValueError):
-            pass
-        try:
-            self._listener.close()
-        except OSError:
-            pass
-
-    def _send(self, link: _AgentLink, blob: bytes) -> bool:
-        """Bounded-blocking send; drops the link on failure."""
-        try:
-            link.sock.settimeout(30.0)
-            try:
-                link.sock.sendall(blob)
-            finally:
-                link.sock.settimeout(0.0)
-            return True
-        except OSError as exc:
-            self._drop_link(link, reason=f"send failed: {exc}")
-            return False
-
-    def _drop_link(self, link: _AgentLink, *, reason: str) -> None:
-        if link not in self._links:
-            return
-        self._links.remove(link)
-        self.drop_events.append((link.peer, reason))
-        try:
-            self._selector.unregister(link.sock)
-        except (KeyError, ValueError):
-            pass
-        try:
-            link.sock.close()
-        except OSError:
-            pass
+            self._loop.drop(link, "daemon killed by fault plan")
+        self._loop.close_listener()
 
     # -- lifecycle -------------------------------------------------------------------
 
@@ -518,17 +429,7 @@ class PartitionDaemon:
             # Orderly shutdown (including SIGTERM) checkpoints first, so a
             # restarted daemon resumes exactly where this one stopped.
             self.write_snapshot()
-        for link in list(self._links):
-            self._drop_link(link, reason="daemon shutting down")
-        try:
-            self._selector.unregister(self._listener)
-        except (KeyError, ValueError):
-            pass
-        self._selector.close()
-        try:
-            self._listener.close()
-        except OSError:
-            pass
+        self._loop.close(reason="daemon shutting down")
         if self._supervisor is not None:
             self._supervisor.stop()
 

@@ -186,7 +186,8 @@ class EvaluationTables:
     ``reference`` backend (the equivalence is pinned by the test suite).
     Instances are cheap to create, safe to share across runs of the same
     platform/model configuration, and picklable-by-construction callers
-    (e.g. :class:`~repro.runtime.batch.BatchRunner`) ship one per worker.
+    (e.g. :class:`~repro.runtime.executors.PoolExecutor` workers) keep one
+    per worker.
     """
 
     def __init__(

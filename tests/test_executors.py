@@ -215,6 +215,30 @@ class TestTCPExecutor:
         with pytest.raises(SimulationError, match="host:port"):
             parse_address("host:")
 
+    def test_parse_address_rejects_impossible_ports(self):
+        assert parse_address("127.0.0.1:65535") == ("127.0.0.1", 65535)
+        assert parse_address("127.0.0.1:0") == ("127.0.0.1", 0)
+        with pytest.raises(SimulationError, match="'127.0.0.1:99999'"):
+            parse_address("127.0.0.1:99999")
+        with pytest.raises(SimulationError, match="host:port"):
+            parse_address("127.0.0.1:-1")
+
+    def test_unreachable_coordinator_exits_1_with_one_log_line(self, capsys):
+        import socket as socket_mod
+
+        from repro.runtime.executors import run_worker
+
+        probe = socket_mod.socket()
+        probe.bind(("127.0.0.1", 0))
+        _host, port = probe.getsockname()
+        probe.close()  # nothing listens on this port now
+        code = run_worker(
+            f"127.0.0.1:{port}", connect_attempts=1, connect_delay_s=0.0
+        )
+        assert code == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1 and "could not connect" in lines[0]
+
     def test_matches_serial_with_two_workers(self, platform, p1, serial_results):
         executor = TCPExecutor(("127.0.0.1", 0), min_workers=2)
         _host, port = executor.address
@@ -284,16 +308,12 @@ class TestTCPExecutor:
         import socket as socket_mod
 
         from repro.runtime.executors.framing import pack_frame
-        from repro.runtime.executors.tcp import _WorkerLink
 
         executor = TCPExecutor(("127.0.0.1", 0))
         try:
             executor.prepare(platform, default_config=FAST)
             ours, theirs = socket_mod.socketpair()
-            ours.setblocking(False)
-            link = _WorkerLink(sock=ours, peer="test")
-            executor._links.append(link)
-            executor._selector.register(ours, __import__("selectors").EVENT_READ, link)
+            link = executor._loop.attach(ours, "test")
             theirs.sendall(pack_frame("not-a-tuple"))
             executor._read_link(link)  # must not raise
             assert link not in executor._links
@@ -305,16 +325,12 @@ class TestTCPExecutor:
         import socket as socket_mod
 
         from repro.runtime.executors.framing import pack_frame
-        from repro.runtime.executors.tcp import _WorkerLink
 
         executor = TCPExecutor(("127.0.0.1", 0))
         try:
             executor.prepare(platform, default_config=FAST)
             ours, theirs = socket_mod.socketpair()
-            ours.setblocking(False)
-            link = _WorkerLink(sock=ours, peer="test")
-            executor._links.append(link)
-            executor._selector.register(ours, __import__("selectors").EVENT_READ, link)
+            link = executor._loop.attach(ours, "test")
             # An "error" frame whose payload has no .ticket attribute.
             theirs.sendall(pack_frame(("error", object())))
             executor._read_link(link)  # must not raise

@@ -8,7 +8,11 @@ of the distributed executors:
   corruption with at worst a :class:`FrameProtocolError` — never a crash of
   another kind, and never a silently wrong message;
 * version/codec negotiation rejects mismatched workers with a reason that
-  lands in ``drop_events`` and the starvation error;
+  lands in ``drop_events`` and the starvation error, and a frame with the
+  removed pickle tag is refused without ever being unpickled;
+* the one shared link loop drops exactly the faulty link — garbage, an
+  oversized length prefix, a pickle-tag frame, EOF mid-frame — on both the
+  TCP executor and the partitioning daemon, and keeps serving the others;
 * a scripted :class:`FaultPlan` (worker kills + corrupted frames +
   duplicated results) on a supervised TCP executor leaves study rows
   bit-identical to :class:`SerialExecutor`;
@@ -19,6 +23,8 @@ of the distributed executors:
 from __future__ import annotations
 
 import json
+import pickle
+import select
 import socket as socket_mod
 import time
 from collections import OrderedDict, deque
@@ -29,7 +35,6 @@ import pytest
 from repro.errors import SimulationError
 from repro.runtime import EngineConfig, RunSpec, SerialExecutor, TCPExecutor
 from repro.runtime.executors import (
-    CODEC_PICKLE,
     CODEC_SAFE,
     PROTOCOL_VERSION,
     FaultPlan,
@@ -43,8 +48,8 @@ from repro.runtime.executors.framing import (
     pack_frame,
     recv_frame,
 )
-from repro.runtime.executors.tcp import _WorkerLink
 from repro.runtime.scheduler import StockLinuxDriver
+from repro.service import PartitionDaemon, protocol
 from repro.workloads import workload_by_name
 
 FAST = EngineConfig(
@@ -57,11 +62,42 @@ FAST = EngineConfig(
 # ---------------------------------------------------------------------------
 
 
-def roundtrip(obj, *, codec=CODEC_SAFE, allow_pickle=False):
-    reader = FrameReader(allow_pickle=allow_pickle)
-    frames = list(reader.feed(pack_frame(obj, codec=codec)))
+def roundtrip(obj):
+    reader = FrameReader()
+    frames = list(reader.feed(pack_frame(obj)))
     assert len(frames) == 1 and reader.pending() == 0
     return frames[0]
+
+
+_UNPICKLED: list = []
+
+
+def _mark_unpickled():
+    _UNPICKLED.append(True)
+
+
+class _Unpickles:
+    """Records a call if anything ever unpickles it."""
+
+    def __reduce__(self):
+        return (_mark_unpickled, ())
+
+
+def pickle_frame(obj):
+    """A frame in the removed pickle codec (tag 0x01), built by hand."""
+    body = b"\x01" + pickle.dumps(obj)
+    return _HEADER.pack(len(body)) + body
+
+
+class _OneShotSocket:
+    """The ``recv`` side of a socket that holds exactly ``data``."""
+
+    def __init__(self, data):
+        self.data = data
+
+    def recv(self, n):
+        chunk, self.data = self.data[:n], self.data[n:]
+        return chunk
 
 
 class TestSafeCodec:
@@ -116,13 +152,13 @@ class TestSafeCodec:
         assert out[2].workload == spec.workload
 
     def test_pickle_frames_refused_without_opt_in(self):
-        blob = pack_frame(("hello", {}), codec=CODEC_PICKLE)
-        with pytest.raises(FrameProtocolError, match="pickle"):
-            list(FrameReader(allow_pickle=False).feed(blob))
-        # ...and accepted once both sides opt in.
-        assert roundtrip(
-            ("hello", {}), codec=CODEC_PICKLE, allow_pickle=True
-        ) == ("hello", {})
+        """There is no opt-in any more: tag 0x01 is refused, never loaded."""
+        _UNPICKLED.clear()
+        with pytest.raises(FrameProtocolError, match="pickle codec was removed"):
+            list(FrameReader().feed(pickle_frame(_Unpickles())))
+        assert _UNPICKLED == []
+        with pytest.raises(FrameProtocolError, match="pickle codec was removed"):
+            recv_frame(_OneShotSocket(pickle_frame(("hello", {}))))
 
     def test_untrusted_class_references_refused(self):
         blob = pack_frame(("error", object()))
@@ -251,23 +287,17 @@ class TestFaultPlan:
 # ---------------------------------------------------------------------------
 
 
-def attach_fake_worker(executor):
-    """A socketpair posing as a worker link, bypassing accept()."""
-    import selectors
-
+def attach_fake_link(server, peer="test"):
+    """A socketpair posing as a peer, attached to the server's link loop
+    without going through accept()."""
     ours, theirs = socket_mod.socketpair()
-    ours.setblocking(False)
-    link = _WorkerLink(sock=ours, peer="test")
-    link.reader = FrameReader(allow_pickle=executor.allow_pickle)
-    link.connected_at = link.last_seen = time.monotonic()
-    executor._links.append(link)
-    executor._selector.register(ours, selectors.EVENT_READ, link)
-    return link, theirs
+    return server._loop.attach(ours, peer), theirs
+
 
 
 class TestHandshake:
     def send_hello(self, executor, info):
-        link, theirs = attach_fake_worker(executor)
+        link, theirs = attach_fake_link(executor)
         try:
             theirs.sendall(pack_frame(("hello", info)))
             executor._read_link(link)
@@ -292,15 +322,15 @@ class TestHandshake:
         finally:
             executor.close()
 
-    def test_pickle_codec_needs_coordinator_opt_in(self, platform):
+    def test_pickle_codec_hello_rejected(self, platform):
         executor = TCPExecutor(("127.0.0.1", 0))
         try:
             executor.prepare(platform, default_config=FAST)
             link, reject = self.send_hello(
-                executor, {"protocol": PROTOCOL_VERSION, "codec": CODEC_PICKLE}
+                executor, {"protocol": PROTOCOL_VERSION, "codec": "pickle"}
             )
             assert link not in executor._links
-            assert reject[0] == "reject" and "opt in" in reject[1]
+            assert reject[0] == "reject" and "pickle codec was removed" in reject[1]
         finally:
             executor.close()
 
@@ -308,7 +338,7 @@ class TestHandshake:
         executor = TCPExecutor(("127.0.0.1", 0))
         try:
             executor.prepare(platform, default_config=FAST)
-            link, theirs = attach_fake_worker(executor)
+            link, theirs = attach_fake_link(executor)
             try:
                 theirs.sendall(
                     pack_frame(
@@ -328,7 +358,7 @@ class TestHandshake:
         executor = TCPExecutor(("127.0.0.1", 0))
         try:
             executor.prepare(platform, default_config=FAST)
-            link, theirs = attach_fake_worker(executor)
+            link, theirs = attach_fake_link(executor)
             try:
                 theirs.sendall(pack_frame(("pong",)))
                 executor._read_link(link)
@@ -360,6 +390,80 @@ class TestHandshake:
                     pass
         finally:
             executor.close()
+
+
+# ---------------------------------------------------------------------------
+# One link loop, two servers: a fault costs exactly the faulty link
+# ---------------------------------------------------------------------------
+
+_HELLO = ("hello", {"protocol": PROTOCOL_VERSION, "codec": CODEC_SAFE})
+
+#: fault -> (bytes the bad peer sends, whether it then hangs up, the
+#: recorded drop reason's prefix).
+LINK_FAULTS = {
+    "garbage": (
+        _HEADER.pack(9) + b"\x02\xde\xad\xbe\xef\x00\x01\x02\x03",
+        False,
+        "bad frame: corrupt safe frame",
+    ),
+    "oversized-prefix": (
+        _HEADER.pack(MAX_FRAME + 1),
+        False,
+        "bad frame: frame of",
+    ),
+    "pickle-tag": (
+        pickle_frame(_HELLO),
+        False,
+        "bad frame: peer sent a pickle frame",
+    ),
+    "eof-mid-frame": (pack_frame(_HELLO)[:-3], True, "connection closed"),
+}
+
+
+def _readable(sock):
+    return bool(select.select([sock], [], [], 0)[0])
+
+
+class TestLinkFaults:
+    def make_server(self, kind, platform):
+        """(server, one pump, a healthy opening frame, the reply it earns)."""
+        if kind == "tcp":
+            executor = TCPExecutor(("127.0.0.1", 0))
+            executor.prepare(platform, default_config=FAST)
+            return executor, executor._pump, _HELLO, "context"
+        daemon = PartitionDaemon(("127.0.0.1", 0))
+        hello = protocol.host_hello("hostH", 1, 0)
+        return daemon, lambda: daemon.pump(timeout=0.05), hello, "hello_ack"
+
+    @pytest.mark.parametrize("fault", sorted(LINK_FAULTS))
+    @pytest.mark.parametrize("kind", ["tcp", "daemon"])
+    def test_fault_drops_only_that_link(self, kind, fault, platform):
+        data, hang_up, reason = LINK_FAULTS[fault]
+        server, pump, hello, reply_kind = self.make_server(kind, platform)
+        try:
+            bad, bad_peer = attach_fake_link(server, "bad")
+            good, good_peer = attach_fake_link(server, "good")
+            try:
+                bad_peer.sendall(data)
+                if hang_up:
+                    bad_peer.close()
+                good_peer.sendall(pack_frame(hello))
+                deadline = time.monotonic() + 10.0
+                while bad in server._links or not _readable(good_peer):
+                    assert time.monotonic() < deadline, server.drop_events
+                    pump()  # nothing may escape the pump
+                bad_drops = [r for peer, r in server.drop_events if peer == "bad"]
+                assert len(bad_drops) == 1 and bad_drops[0].startswith(reason)
+                assert good in server._links
+                good_peer.settimeout(5.0)
+                assert recv_frame(good_peer)[0] == reply_kind
+                if kind == "daemon":
+                    assert server.frame_errors == (0 if hang_up else 1)
+            finally:
+                bad_peer.close()
+                good_peer.close()
+        finally:
+            server.close()
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +508,7 @@ class TestHeartbeatGrace:
         executor = TCPExecutor(("127.0.0.1", 0), heartbeat_grace_s=0.05)
         try:
             executor.prepare(platform, default_config=FAST)
-            link, theirs = attach_fake_worker(executor)
+            link, theirs = attach_fake_link(executor)
             try:
                 time.sleep(0.1)
                 executor._heartbeat(time.monotonic())

@@ -1,7 +1,7 @@
 """Bit-identity of the incremental evaluation layer and engine backend.
 
 The ``incremental`` paths (FastProfileView, the occupancy trajectory cache,
-EvaluationTables, the vectorized runtime-engine loop, the BatchRunner) must
+EvaluationTables, the vectorized runtime-engine loop, serial batches) must
 reproduce the ``reference`` implementations *exactly* — same floats, same
 iteration counts, same traces — not merely approximately.  Every assertion
 in this module therefore uses strict equality.
@@ -19,15 +19,16 @@ from repro.errors import SimulationError
 from repro.hardware import skylake_gold_6138
 from repro.hardware.cat import mask_from_range
 from repro.runtime import (
-    BatchRunner,
     DunnUserLevelDaemon,
     EngineConfig,
     LfocSchedulerPlugin,
     MonitorConfig,
     RunSpec,
     RuntimeEngine,
+    SerialExecutor,
     StockLinuxDriver,
 )
+from repro.runtime.executors import resolve_jobs
 from repro.simulator import (
     ClusteringEstimator,
     EvaluationTables,
@@ -356,7 +357,16 @@ class TestEngineBackendEquivalence:
             EngineConfig(backend="turbo")
 
 
+def run_serial(platform, specs, config=None):
+    """A batch of runs in process, results in spec order."""
+    with SerialExecutor() as executor:
+        executor.prepare(platform, default_config=config)
+        return executor.map_specs(specs)
+
+
 class TestBatchRunner:
+    """Batches through ``SerialExecutor.prepare`` + ``map_specs``."""
+
     def test_batch_matches_direct_runs(self, platform, phased_workload):
         config = EngineConfig(
             instructions_per_run=6.0e8,
@@ -368,7 +378,7 @@ class TestBatchRunner:
             RunSpec(workload=phased_workload, driver_cls=StockLinuxDriver),
             RunSpec(workload=phased_workload, driver_cls=DunnUserLevelDaemon),
         ]
-        batch = BatchRunner(platform, jobs=1, config=config).run(specs)
+        batch = run_serial(platform, specs, config)
         direct = [
             RuntimeEngine(
                 platform,
@@ -391,16 +401,16 @@ class TestBatchRunner:
             backend="reference",
         )
         specs = [RunSpec(workload=phased_workload, driver_cls=StockLinuxDriver)]
-        (result,) = BatchRunner(platform, jobs=1, config=config).run(specs)
+        (result,) = run_serial(platform, specs, config)
         assert result.policy == "Stock-Linux"
 
     def test_empty_batch(self, platform):
-        assert BatchRunner(platform, jobs=1).run([]) == []
+        assert run_serial(platform, []) == []
 
     def test_invalid_jobs_rejected(self, platform, phased_workload):
         specs = [RunSpec(workload=phased_workload, driver_cls=StockLinuxDriver)]
         with pytest.raises(SimulationError):
-            BatchRunner(platform, jobs=0).run(specs)
+            resolve_jobs(0, len(specs))
 
     def test_conflicting_workload_names_rejected(self, platform):
         specs = [
@@ -414,7 +424,7 @@ class TestBatchRunner:
             ),
         ]
         with pytest.raises(SimulationError):
-            BatchRunner(platform, jobs=1).run(specs)
+            run_serial(platform, specs)
 
 
 class TestFig7Backends:
