@@ -3,8 +3,11 @@
 Times the exhaustive optimal-clustering search (and the branch-and-bound
 variant) under both scoring backends on a fixed class-diverse workload and
 writes a machine-readable ``BENCH_solver.json`` at the repository root so the
-performance trajectory can be tracked across PRs.  The run *fails* if the two
-backends disagree on the optimum — speed means nothing if the answers differ.
+performance trajectory can be tracked across PRs.  It also times one dense
+table build (``table_build_s``) and checks every (cluster mask, ways) row of
+that table against the reference ``CachedObjective.cluster_pieces``, bit for
+bit.  The run *fails* if the two backends disagree on the optimum or any
+table row differs — speed means nothing if the answers differ.
 
 Usage::
 
@@ -50,11 +53,62 @@ def _mix(full: bool):
     return platform, {name: catalog[name] for name in names}
 
 
+def check_table_rows(platform, profiles) -> dict:
+    """Build the dense tables once (timed) and compare every row to the reference.
+
+    A row matches when its member slowdowns, stall fractions, demand total
+    and max/min member slowdown carry exactly the bits of
+    ``CachedObjective.cluster_pieces`` for the same (members, ways) cluster.
+    """
+    import numpy as np
+
+    from repro.optimal import CachedObjective, TabulatedObjective
+
+    t0 = time.perf_counter()
+    tables = TabulatedObjective(platform, profiles)
+    build_s = time.perf_counter() - t0
+    reference = CachedObjective(platform, profiles)
+    apps = tables.app_order
+    checked = mismatches = 0
+    for mask in range(1, 1 << len(apps)):
+        members = [app for j, app in enumerate(apps) if mask >> j & 1]
+        for ways in range(1, tables.n_ways + 1):
+            row = tables.entry(mask, ways)
+            pieces = reference.cluster_pieces(members, ways)
+            slowdown = np.zeros(len(apps))
+            stall = np.zeros(len(apps))
+            for app in members:
+                slowdown[tables.app_index[app]] = pieces.cache_slowdowns[app]
+                stall[tables.app_index[app]] = pieces.stall_fractions[app]
+            expected = np.concatenate(
+                [
+                    slowdown,
+                    stall,
+                    [
+                        pieces.demand_total_gbs,
+                        max(pieces.cache_slowdowns.values()),
+                        min(pieces.cache_slowdowns.values()),
+                    ],
+                ]
+            )
+            got = np.concatenate(
+                [
+                    tables._slowdown_rows[row],
+                    tables._stall_rows[row],
+                    [tables._demand_rows[row], tables._row_max[row], tables._row_min[row]],
+                ]
+            )
+            checked += 1
+            mismatches += got.tobytes() != expected.tobytes()
+    return {"build_s": build_s, "rows_checked": checked, "row_mismatches": mismatches}
+
+
 def run_bench(full: bool = False) -> dict:
     """Time both backends and return the comparison record."""
     from repro.optimal import branch_and_bound_clustering, optimal_clustering
 
     platform, profiles = _mix(full)
+    rows = check_table_rows(platform, profiles)
 
     t0 = time.perf_counter()
     reference = optimal_clustering(platform, profiles, backend="reference")
@@ -96,6 +150,11 @@ def run_bench(full: bool = False) -> dict:
         "n_apps": len(profiles),
         "llc_ways": platform.llc_ways,
         "candidates": reference.candidates_evaluated,
+        "table_build_s": round(rows["build_s"], 4),
+        "table_rows": {
+            "checked": rows["rows_checked"],
+            "mismatches": rows["row_mismatches"],
+        },
         "exhaustive": {
             "reference_s": round(reference_s, 4),
             "tabulated_s": round(tabulated_s, 4),
@@ -108,6 +167,7 @@ def run_bench(full: bool = False) -> dict:
         },
         "optimum": signature(reference),
         "backends_match": match,
+        "table_rows_match": rows["row_mismatches"] == 0,
     }
 
 
@@ -121,6 +181,9 @@ def _render(record: dict) -> str:
         f"tabulated {ex['tabulated_s']:.3f}s   speedup {ex['speedup']:.1f}x",
         f"  branch & bound:  reference {bb['reference_s']:.3f}s   "
         f"tabulated {bb['tabulated_s']:.3f}s   speedup {bb['speedup']:.1f}x",
+        f"  table build:     {record['table_build_s']:.4f}s   rows identical to "
+        f"the reference: {record['table_rows_match']} "
+        f"({record['table_rows']['checked']} checked)",
         f"  optima identical: {record['backends_match']}",
     ]
     return "\n".join(lines)
@@ -137,6 +200,7 @@ def test_solver_backend_equivalence_and_speed():
     record = run_bench(full=False)
     _write_results(record)
     assert record["backends_match"], "tabulated backend disagrees with reference"
+    assert record["table_rows_match"], "a dense-table row differs from cluster_pieces"
     # The tabulated engine is typically >20x faster here; 5x is the criterion
     # this PR is gated on, asserted with margin for loaded CI machines.
     assert record["exhaustive"]["speedup"] >= 5.0
@@ -156,6 +220,12 @@ def main(argv=None) -> int:
     _write_results(record)
     if not record["backends_match"]:
         print("FAIL: tabulated backend disagrees with the reference optimum")
+        return 1
+    if not record["table_rows_match"]:
+        print(
+            f"FAIL: {record['table_rows']['mismatches']} dense-table rows differ "
+            "from the reference cluster_pieces"
+        )
         return 1
     if args.min_speedup is not None and record["exhaustive"]["speedup"] < args.min_speedup:
         print(f"FAIL: speedup below {args.min_speedup}x")

@@ -21,7 +21,8 @@ as each application effectively owning a fractional number of ways.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence
+from functools import cached_property
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -29,10 +30,30 @@ from repro.apps.curves import CurveSet
 from repro.errors import ProfileError
 from repro.hardware.platform import PlatformSpec
 
-__all__ = ["AppProfile", "FastProfileView", "CACHE_LINE_BYTES"]
+__all__ = ["AppProfile", "FastProfileView", "CACHE_LINE_BYTES", "interp_unit_grid"]
 
 #: Bytes transferred from DRAM per LLC miss (one cache line).
 CACHE_LINE_BYTES = 64
+
+
+def interp_unit_grid(table: Sequence[float], ways: float, name: str) -> float:
+    """Linear interpolation of a per-way curve at a fractional way count.
+
+    ``table[w-1]`` holds the value at ``w`` ways; ``ways`` is clipped to
+    ``[1, len(table)]``.  Because the way axis is the uniform unit-step grid,
+    the slope division of :func:`numpy.interp` is by exactly 1.0 and this
+    pure-float formula reproduces it bit for bit, without NumPy's per-call
+    array setup.  Any ``ways`` that is not ``> 0`` (NaN included) is rejected
+    with a :class:`ProfileError` naming the profile ``name``.
+    """
+    if not ways > 0:
+        raise ProfileError(f"cannot evaluate {name!r} at {ways} ways")
+    n = len(table)
+    clipped = min(max(ways, 1.0), float(n))
+    if clipped >= n:
+        return table[-1]
+    j = int(clipped - 1.0)
+    return (table[j + 1] - table[j]) * (clipped - (j + 1.0)) + table[j]
 
 
 @dataclass(frozen=True)
@@ -97,21 +118,18 @@ class AppProfile:
 
     # -- curve access (fractional ways) ---------------------------------------
 
-    def _interp(self, table: np.ndarray, ways: float) -> float:
-        ways = float(ways)
-        if ways <= 0:
-            raise ProfileError(f"cannot evaluate {self.name!r} at {ways} ways")
-        axis = np.arange(1, self.n_ways + 1, dtype=float)
-        clipped = min(max(ways, 1.0), float(self.n_ways))
-        return float(np.interp(clipped, axis, table))
+    @cached_property
+    def _points(self) -> Tuple[List[float], List[float]]:
+        """IPC and LLCMPKC curves as Python lists, for scalar reads."""
+        return self.curves.ipc.tolist(), self.curves.llcmpkc.tolist()
 
     def ipc_at(self, ways: float) -> float:
         """IPC when running alone with a (possibly fractional) way allocation."""
-        return self._interp(self.curves.ipc, ways)
+        return interp_unit_grid(self._points[0], float(ways), self.name)
 
     def llcmpkc_at(self, ways: float) -> float:
         """LLC misses per kilo-cycle at a (possibly fractional) way allocation."""
-        return self._interp(self.curves.llcmpkc, ways)
+        return interp_unit_grid(self._points[1], float(ways), self.name)
 
     def mpki_at(self, ways: float) -> float:
         """LLC misses per kilo-instruction at a fractional way allocation."""
@@ -228,20 +246,17 @@ class AppProfile:
 class FastProfileView:
     """Allocation-free scalar curve evaluator, bit-identical to :class:`AppProfile`.
 
-    ``AppProfile``'s fractional-way accessors go through :func:`numpy.interp`,
-    which costs microseconds per call in array setup — painful inside the
-    occupancy fixed point, which interpolates per application per iteration.
-    This view caches the curves as plain lists and evaluates the same linear
-    interpolation with pure float arithmetic.  Because the way axis is the
-    uniform unit-step grid ``1..n_ways``, the slope division is by exactly
-    1.0 and the formula reproduces ``np.interp`` bit for bit (asserted by the
-    test suite over dense random grids); the derived quantities replicate the
-    ``AppProfile`` method bodies operation for operation.
+    Both read their curves through :func:`interp_unit_grid`; this view caches
+    the curves as plain lists so the arithmetic runs on Python floats rather
+    than NumPy scalars, which is what the occupancy fixed point wants when it
+    interpolates per application per iteration.  The derived quantities
+    replicate the ``AppProfile`` method bodies operation for operation.
     """
 
-    __slots__ = ("ipc", "llcmpkc", "n_ways", "ipc_alone", "bytes_per_miss")
+    __slots__ = ("name", "ipc", "llcmpkc", "n_ways", "ipc_alone", "bytes_per_miss")
 
     def __init__(self, profile: AppProfile) -> None:
+        self.name = profile.name
         self.ipc = profile.curves.ipc.tolist()
         self.llcmpkc = profile.curves.llcmpkc.tolist()
         self.n_ways = profile.n_ways
@@ -259,6 +274,7 @@ class FastProfileView:
         :attr:`AppProfile.ipc_alone` reads it.
         """
         view = cls.__new__(cls)
+        view.name = "persisted profile"
         view.ipc = [float(v) for v in ipc]
         view.llcmpkc = [float(v) for v in llcmpkc]
         if not view.ipc or len(view.ipc) != len(view.llcmpkc):
@@ -271,21 +287,11 @@ class FastProfileView:
         view.bytes_per_miss = float(bytes_per_miss)
         return view
 
-    def _interp(self, table: list, ways: float) -> float:
-        if ways <= 0:
-            raise ProfileError(f"cannot evaluate a profile at {ways} ways")
-        n = self.n_ways
-        clipped = min(max(ways, 1.0), float(n))
-        if clipped >= n:
-            return table[-1]
-        j = int(clipped - 1.0)
-        return (table[j + 1] - table[j]) * (clipped - (j + 1.0)) + table[j]
-
     def ipc_at(self, ways: float) -> float:
-        return self._interp(self.ipc, ways)
+        return interp_unit_grid(self.ipc, ways, self.name)
 
     def llcmpkc_at(self, ways: float) -> float:
-        return self._interp(self.llcmpkc, ways)
+        return interp_unit_grid(self.llcmpkc, ways, self.name)
 
     def stall_fraction_at(self, ways: float, platform: PlatformSpec) -> float:
         pressure = self.llcmpkc_at(ways) * platform.mem_latency_cycles / 1000.0

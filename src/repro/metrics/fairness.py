@@ -52,30 +52,48 @@ def slowdown_from_times(time_shared: float, time_alone: float) -> float:
 
 
 def _validate_slowdowns(slowdowns: Sequence[float]) -> np.ndarray:
+    """The slowdowns as one float array, checked once for every metric."""
     values = np.asarray(list(slowdowns), dtype=float)
     if values.size == 0:
         raise ReproError("at least one slowdown value is required")
-    if np.any(values <= 0):
+    # min/max propagate NaN, so one pair of reductions checks everything.
+    if not (values.min() > 0.0 and values.max() < np.inf):
+        if not np.all(np.isfinite(values)):
+            raise ReproError(f"slowdowns must be finite, got {values.tolist()}")
         raise ReproError("slowdowns must be positive")
     return values
 
 
+def _unfairness(values: np.ndarray) -> float:
+    return float(values.max() / values.min())
+
+
+def _stp(values: np.ndarray) -> float:
+    return float(np.sum(1.0 / values))
+
+
+def _antt(values: np.ndarray) -> float:
+    return float(values.mean())
+
+
+def _jain(values: np.ndarray) -> float:
+    speedups = 1.0 / values
+    return float(speedups.sum() ** 2 / (speedups.size * np.sum(speedups**2)))
+
+
 def unfairness(slowdowns: Sequence[float]) -> float:
     """Unfairness metric (Eq. 3): max slowdown over min slowdown."""
-    values = _validate_slowdowns(slowdowns)
-    return float(values.max() / values.min())
+    return _unfairness(_validate_slowdowns(slowdowns))
 
 
 def stp(slowdowns: Sequence[float]) -> float:
     """System throughput / weighted speedup (Eq. 4): sum of 1/slowdown."""
-    values = _validate_slowdowns(slowdowns)
-    return float(np.sum(1.0 / values))
+    return _stp(_validate_slowdowns(slowdowns))
 
 
 def antt(slowdowns: Sequence[float]) -> float:
     """Average normalised turnaround time: the arithmetic mean slowdown."""
-    values = _validate_slowdowns(slowdowns)
-    return float(values.mean())
+    return _antt(_validate_slowdowns(slowdowns))
 
 
 def jain_index(slowdowns: Sequence[float]) -> float:
@@ -84,8 +102,7 @@ def jain_index(slowdowns: Sequence[float]) -> float:
     1.0 means perfectly even degradation; 1/n means one application absorbs
     all of it.
     """
-    values = 1.0 / _validate_slowdowns(slowdowns)
-    return float(values.sum() ** 2 / (values.size * np.sum(values**2)))
+    return _jain(_validate_slowdowns(slowdowns))
 
 
 @dataclass(frozen=True)
@@ -129,11 +146,11 @@ def compute_metrics(slowdowns: Mapping[str, float]) -> WorkloadMetrics:
     """Build a :class:`WorkloadMetrics` record from per-application slowdowns."""
     if not slowdowns:
         raise ReproError("cannot compute metrics for an empty workload")
-    values = list(slowdowns.values())
+    values = _validate_slowdowns(slowdowns.values())
     return WorkloadMetrics(
         slowdowns=dict(slowdowns),
-        unfairness=unfairness(values),
-        stp=stp(values),
-        antt=antt(values),
-        jain=jain_index(values),
+        unfairness=_unfairness(values),
+        stp=_stp(values),
+        antt=_antt(values),
+        jain=_jain(values),
     )

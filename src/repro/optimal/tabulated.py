@@ -10,7 +10,7 @@ per-candidate Python work entirely:
 * every reachable cluster is encoded as an integer **bitmask** over the
   (sorted) application list;
 * the occupancy model is solved **once per (cluster mask, ways) pair** — for
-  all masks of a given way count simultaneously, as one NumPy fixed point —
+  every pair simultaneously, as one NumPy fixed point over all table rows —
   and the results are tabulated into dense matrices of per-member cache
   slowdowns, bandwidth demands and stall fractions;
 * a whole batch of ``(partition, way composition)`` candidates is then scored
@@ -48,9 +48,6 @@ from repro.simulator.occupancy import OccupancyModel
 
 __all__ = [
     "TabulatedObjective",
-    "llcmpkc_interp",
-    "ipc_interp",
-    "ipc_with_extrapolation",
     "tabulated_optimal_clustering",
     "tabulated_optimal_partitioning",
     "tabulated_branch_and_bound",
@@ -62,6 +59,10 @@ MAX_TABULATED_APPS = 14
 
 #: Candidates scored per vectorized call (bounds the gather matrices).
 BATCH_ROWS = 8192
+
+#: Cluster masks whose (mask, ways) rows share one table-build fixed point;
+#: bounds the build's temporaries at ``_MASK_BLOCK * llc_ways`` rows.
+_MASK_BLOCK = 1024
 
 #: Slack of the vectorized incumbent pre-filter over the 1e-9 comparison
 #: tolerance of :meth:`CandidateScore.better_than`.  Only candidates whose
@@ -97,36 +98,32 @@ def _better(u_a: float, s_a: float, u_b: float, s_b: float, objective: str) -> b
     raise SolverError(f"unknown objective {objective!r}")
 
 
-def llcmpkc_interp(profile: AppProfile, ways: np.ndarray) -> np.ndarray:
-    """Vector replica of ``profile.llcmpkc_at`` (after the caller's floor).
+class _PaddedCurves:
+    """Per-app curves in one flat table, read with a gather per column.
 
-    Shared between the dense solver tables below and the incremental runtime
-    evaluation layer's tests; results are bit-identical to the scalar
-    ``AppProfile`` accessor evaluated element-wise.
+    Each curve is padded by repeating its last point, so at the clip edge
+    ``ways == n`` the formula of :func:`~repro.apps.profile.interp_unit_grid`
+    adds a zero step instead of taking a branch and still returns the last
+    point exactly.
     """
-    axis = np.arange(1, profile.n_ways + 1, dtype=float)
-    clipped = np.clip(ways, 1.0, float(profile.n_ways))
-    return np.interp(clipped, axis, profile.curves.llcmpkc)
 
+    def __init__(self, curves: Sequence[np.ndarray]) -> None:
+        width = max(len(curve) for curve in curves) + 1
+        table = np.empty((len(curves), width), dtype=float)
+        for j, curve in enumerate(curves):
+            table[j, : len(curve)] = curve
+            table[j, len(curve) :] = curve[-1]
+        self.flat = table.ravel()
+        self.offsets = np.arange(len(curves)) * width
+        self.upper = np.asarray([float(len(curve)) for curve in curves])
 
-def ipc_interp(profile: AppProfile, ways: np.ndarray) -> np.ndarray:
-    """Vector replica of ``profile.ipc_at``."""
-    axis = np.arange(1, profile.n_ways + 1, dtype=float)
-    clipped = np.clip(ways, 1.0, float(profile.n_ways))
-    return np.interp(clipped, axis, profile.curves.ipc)
-
-
-def ipc_with_extrapolation(profile: AppProfile, effective: np.ndarray) -> np.ndarray:
-    """Vector replica of :func:`repro.simulator.estimator._ipc_with_extrapolation`."""
-    interp = ipc_interp(profile, effective)
-    if profile.n_ways < 2:
-        return interp
-    cpi_1 = 1.0 / profile.ipc_at(1.0)
-    cpi_2 = 1.0 / profile.ipc_at(2.0)
-    slope = max(cpi_1 - cpi_2, 0.0)
-    deficit = 1.0 - np.maximum(effective, 0.0)
-    cpi = np.minimum(cpi_1 + slope * deficit, 3.0 * cpi_1)
-    return np.where(effective >= 1.0, interp, 1.0 / cpi)
+    def at(self, ways: np.ndarray) -> np.ndarray:
+        """Column ``j`` of ``ways`` read off curve ``j``, clipped to ``[1, n_j]``."""
+        clipped = np.minimum(np.maximum(ways, 1.0), self.upper)
+        below = (clipped - 1.0).astype(np.intp)  # exact, so this is the floor
+        at = below + self.offsets
+        low = self.flat[at]
+        return (self.flat[at + 1] - low) * (clipped - (below + 1.0)) + low
 
 
 @dataclass
@@ -220,105 +217,121 @@ class TabulatedObjective:
 
     # -- table construction -------------------------------------------------------
 
-    def _llcmpkc_interp(self, profile: AppProfile, ways: np.ndarray) -> np.ndarray:
-        """Vector replica of ``profile.llcmpkc_at`` (after the 0.25 floor)."""
-        return llcmpkc_interp(profile, ways)
+    def _build_tables(self) -> None:
+        """Solve and tabulate every (cluster mask, ways) row.
 
-    def _ipc_interp(self, profile: AppProfile, ways: np.ndarray) -> np.ndarray:
-        return ipc_interp(profile, ways)
+        Row ``mask * k + ways - 1`` describes the cluster whose members are
+        the set bits of ``mask`` sharing a ``ways``-way capacity mask.  Blocks
+        of :data:`_MASK_BLOCK` masks go through one occupancy fixed point
+        over all of their rows, then one tabulation pass.
+        """
+        n, k = self.n_apps, self.n_ways
+        n_masks = 1 << n
+        rows_total = n_masks * k
+        self._slowdown_rows = np.zeros((rows_total, n), dtype=float)
+        self._stall_rows = np.zeros((rows_total, n), dtype=float)
+        self._demand_rows = np.zeros(rows_total, dtype=float)
+        self._row_max = np.zeros(rows_total, dtype=float)
+        self._row_min = np.zeros(rows_total, dtype=float)
+        profiles = [self.profiles[app] for app in self.app_order]
+        self._ipc_curve = _PaddedCurves([p.curves.ipc for p in profiles])
+        self._mpkc_curve = _PaddedCurves([p.curves.llcmpkc for p in profiles])
+        member_of = ((np.arange(n_masks)[:, None] >> np.arange(n)) & 1).astype(bool)
+        for start in range(0, n_masks, _MASK_BLOCK):
+            masks = np.arange(start, min(start + _MASK_BLOCK, n_masks))
+            # Ways-major inside the block: ways ascend down the rows, so the
+            # rows owning more than t ways always form a suffix.
+            ways = np.repeat(np.arange(1, k + 1), masks.size)
+            masks = np.tile(masks, k)
+            member = member_of[masks]
+            effective = np.where(member, ways[:, None].astype(float), 0.0)
+            self._solve_occupancy(effective, member, ways, self._mask_solved[masks])
+            self._tabulate(masks * k + (ways - 1), effective, member, profiles)
 
-    def _ipc_with_extrapolation(self, profile: AppProfile, effective: np.ndarray) -> np.ndarray:
-        """Vector replica of :func:`repro.simulator.estimator._ipc_with_extrapolation`."""
-        return ipc_with_extrapolation(profile, effective)
+    def _solve_occupancy(
+        self,
+        effective: np.ndarray,
+        member: np.ndarray,
+        ways: np.ndarray,
+        solved: np.ndarray,
+    ) -> None:
+        """Shared-mask occupancy fixed point of many rows, in place.
 
-    def _solve_occupancy_all_masks(self, ways: int, member: np.ndarray) -> np.ndarray:
-        """Solve the shared-mask occupancy fixed point for every cluster mask.
-
-        Replicates :meth:`OccupancyModel.solve` operation for operation for the
-        special case the solvers need — every cluster member shares the full
-        ``ways``-bit capacity mask — but for all ``2^n`` member masks at once.
-        Per-mask convergence is tracked so each row performs exactly the
-        iterations (and the damped updates) the reference performs for it.
+        Replicates :meth:`OccupancyModel.solve` operation for operation for
+        the case the solvers need — every cluster member shares the row's
+        full ``ways``-bit capacity mask.  Each row stops iterating once its
+        own step falls below the tolerance, exactly when the reference stops;
+        rows not ``solved`` never iterate.  ``ways`` must be ascending.
         """
         model = self.occupancy_model
-        n_masks, n_apps = member.shape
-        effective = np.where(member, float(ways), 0.0)
-        active = self._mask_solved.copy()
+        live = np.nonzero(solved)[0]
+        eff = effective[live]
+        memb = member[live]
+        width = ways[live].astype(float)
         for _ in range(model.max_iterations):
-            rows = np.nonzero(active)[0]
-            if rows.size == 0:
+            if live.size == 0:
                 break
-            eff = effective[rows]
-            memb = member[rows]
-            pressure = np.empty_like(eff)
-            for j, app in enumerate(self.app_order):
-                profile = self.profiles[app]
-                pressure[:, j] = model.base_pressure + self._llcmpkc_interp(
-                    profile, np.maximum(eff[:, j], 0.25)
-                )
-            per_way = pressure / ways
-            total = np.zeros(rows.size, dtype=float)
-            for j in range(n_apps):
+            pressure = model.base_pressure + self._mpkc_curve.at(eff)
+            per_way = pressure / width[:, None]
+            total = np.zeros(live.size, dtype=float)
+            for j in range(self.n_apps):
                 total = total + np.where(memb[:, j], per_way[:, j], 0.0)
             share = per_way / total[:, None]
             new_effective = np.zeros_like(share)
-            for _ in range(ways):
-                new_effective = new_effective + share
+            # The t-th way add reaches the rows holding more than t ways.
+            for first in np.searchsorted(width, np.arange(self.n_ways), side="right"):
+                new_effective[first:] += share[first:]
             blended = (1.0 - model.damping) * eff + model.damping * new_effective
             delta = np.where(memb, np.abs(blended - eff), 0.0).max(axis=1)
-            effective[rows] = np.where(memb, blended, 0.0)
-            active[rows] = delta >= model.tolerance
-        return effective
+            eff = np.where(memb, blended, 0.0)
+            going = delta >= model.tolerance
+            if not going.all():
+                effective[live[~going]] = eff[~going]
+                live, eff, memb, width = live[going], eff[going], memb[going], width[going]
+        effective[live] = eff
 
-    def _build_tables(self) -> None:
-        n, k = self.n_apps, self.n_ways
-        n_masks = 1 << n
-        mask_values = np.arange(n_masks, dtype=np.int64)
-        member = ((mask_values[:, None] >> np.arange(n)) & 1).astype(bool)
-        rows_total = n_masks * k
-        slowdown = np.zeros((rows_total, n), dtype=float)
-        stall = np.zeros((rows_total, n), dtype=float)
-        demand_total = np.zeros(rows_total, dtype=float)
-        row_max = np.zeros(rows_total, dtype=float)
-        row_min = np.zeros(rows_total, dtype=float)
+    def _tabulate(
+        self,
+        rows: np.ndarray,
+        effective: np.ndarray,
+        member: np.ndarray,
+        profiles: Sequence[AppProfile],
+    ) -> None:
+        """Fill the table rows from converged effective way counts.
+
+        Column for column the same arithmetic as
+        :meth:`CachedObjective.cluster_pieces`, including the CPI
+        extrapolation below one way of the estimator's
+        ``_ipc_with_extrapolation``.
+        """
         platform = self.platform
-        for ways in range(1, k + 1):
-            effective = self._solve_occupancy_all_masks(ways, member)
-            rows = mask_values * k + (ways - 1)
-            slow_w = np.zeros((n_masks, n), dtype=float)
-            stall_w = np.zeros((n_masks, n), dtype=float)
-            total_w = np.zeros(n_masks, dtype=float)
-            for j, app in enumerate(self.app_order):
-                profile = self.profiles[app]
-                eff = effective[:, j]
-                ipc = self._ipc_with_extrapolation(profile, eff)
-                slow_col = profile.ipc_alone / np.maximum(ipc, 1e-12)
-                eval_ways = np.maximum(eff, 0.25)
-                mpkc = self._llcmpkc_interp(profile, eval_ways)
-                bw_col = (
-                    mpkc
-                    / 1000.0
-                    * platform.cycles_per_second
-                    * profile.bytes_per_miss
-                    / 1e9
-                )
-                pressure = mpkc * platform.mem_latency_cycles / 1000.0
-                stall_col = np.minimum(0.95, pressure / (1.0 + pressure))
-                in_cluster = member[:, j]
-                slow_w[:, j] = np.where(in_cluster, slow_col, 0.0)
-                stall_w[:, j] = np.where(in_cluster, stall_col, 0.0)
-                total_w = total_w + np.where(in_cluster, bw_col, 0.0)
-            slowdown[rows] = slow_w
-            stall[rows] = stall_w
-            demand_total[rows] = total_w
-            masked = np.where(member, slow_w, -np.inf)
-            row_max[rows] = masked.max(axis=1)
-            row_min[rows] = np.where(member, slow_w, np.inf).min(axis=1)
-        self._slowdown_rows = slowdown
-        self._stall_rows = stall
-        self._demand_rows = demand_total
-        self._row_max = row_max
-        self._row_min = row_min
+        ipc_alone = np.asarray([p.ipc_alone for p in profiles])
+        bytes_per_miss = np.asarray([p.bytes_per_miss for p in profiles])
+        extrapolates = np.asarray([p.n_ways >= 2 for p in profiles])
+        cpi_1 = np.asarray([1.0 / p.ipc_at(1.0) for p in profiles])
+        cpi_2 = np.asarray([1.0 / p.ipc_at(2.0) for p in profiles])
+        slope = np.maximum(cpi_1 - cpi_2, 0.0)
+        deficit = 1.0 - np.maximum(effective, 0.0)
+        cpi = np.minimum(cpi_1 + slope * deficit, 3.0 * cpi_1)
+        ipc = np.where(
+            (effective >= 1.0) | ~extrapolates, self._ipc_curve.at(effective), 1.0 / cpi
+        )
+        slow = ipc_alone / np.maximum(ipc, 1e-12)
+        # llcmpkc_at(max(eff, 0.25)): the clip at one way absorbs the 0.25 floor.
+        mpkc = self._mpkc_curve.at(effective)
+        bandwidth = (
+            mpkc / 1000.0 * platform.cycles_per_second * bytes_per_miss / 1e9
+        )
+        pressure = mpkc * platform.mem_latency_cycles / 1000.0
+        stall = np.minimum(0.95, pressure / (1.0 + pressure))
+        demand = np.zeros(rows.size, dtype=float)
+        for j in range(self.n_apps):
+            demand = demand + np.where(member[:, j], bandwidth[:, j], 0.0)
+        self._slowdown_rows[rows] = np.where(member, slow, 0.0)
+        self._stall_rows[rows] = np.where(member, stall, 0.0)
+        self._demand_rows[rows] = demand
+        self._row_max[rows] = np.where(member, slow, -np.inf).max(axis=1)
+        self._row_min[rows] = np.where(member, slow, np.inf).min(axis=1)
 
     # -- lookups ------------------------------------------------------------------
 
@@ -553,33 +566,26 @@ def tabulated_branch_and_bound(
         else 1.0
     )
 
+    # Bounds are read per candidate prefix: Python lists beat NumPy scalars.
+    row_max = tables._row_max.tolist()
+    row_min = tables._row_min.tolist()
     incumbent: Optional[_Incumbent] = None
     evaluated = 0
     for groups in set_partitions(apps, limit):
         m = len(groups)
-        masks = [tables.group_mask(group) for group in groups]
+        # entry(mask, 1) validates each mask once; it is the mask's first row.
+        bases = [tables.entry(tables.group_mask(group), 1) for group in groups]
         generous = max(k - (m - 1), 1)
+        min_slowdown_ub = float("inf")
+        if prune:
+            for base in bases:
+                min_slowdown_ub = min(min_slowdown_ub, row_min[base] * bw_factor_ub)
         if prune and incumbent is not None:
             max_slowdown_lb = 0.0
-            min_slowdown_ub = float("inf")
-            for mask in masks:
-                max_slowdown_lb = max(
-                    max_slowdown_lb, tables.cluster_max_slowdown(mask, generous)
-                )
-                min_slowdown_ub = min(
-                    min_slowdown_ub,
-                    tables.cluster_min_slowdown(mask, 1) * bw_factor_ub,
-                )
+            for base in bases:
+                max_slowdown_lb = max(max_slowdown_lb, row_max[base + generous - 1])
             if max_slowdown_lb / min_slowdown_ub >= incumbent.unfairness - 1e-12:
                 continue
-        else:
-            min_slowdown_ub = float("inf")
-            if prune:
-                for mask in masks:
-                    min_slowdown_ub = min(
-                        min_slowdown_ub,
-                        tables.cluster_min_slowdown(mask, 1) * bw_factor_ub,
-                    )
 
         def assign(
             index: int, remaining: int, ways_prefix: Tuple[int, ...], partial_max: float
@@ -589,12 +595,7 @@ def tabulated_branch_and_bound(
                 if remaining != 0:  # pragma: no cover - construction prevents this
                     return
                 entries = np.asarray(
-                    [
-                        [
-                            mask * k + (ways - 1)
-                            for mask, ways in zip(masks, ways_prefix)
-                        ]
-                    ],
+                    [[base + (ways - 1) for base, ways in zip(bases, ways_prefix)]],
                     dtype=np.int64,
                 )
                 unfairness, stp = tables.score_entries(entries)
@@ -614,7 +615,7 @@ def tabulated_branch_and_bound(
             max_here = remaining - (clusters_left - 1)
             for ways_here in range(1, max_here + 1):
                 new_partial_max = max(
-                    partial_max, tables.cluster_max_slowdown(masks[index], ways_here)
+                    partial_max, row_max[bases[index] + ways_here - 1]
                 )
                 if (
                     prune

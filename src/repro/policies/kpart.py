@@ -49,22 +49,45 @@ class _Level:
     estimated_speedup: float
 
 
+#: Combined miss curves of cluster groups, keyed by ``tuple(group)``.
+MissCurves = Dict[Tuple[str, ...], np.ndarray]
+
+
+def _miss_curve(
+    curves: MissCurves,
+    group: Sequence[str],
+    profiles: Mapping[str, AppProfile],
+    n_ways: int,
+) -> np.ndarray:
+    """The combined miss curve of ``group``, built on first request."""
+    key = tuple(group)
+    curve = curves.get(key)
+    if curve is None:
+        curve = combined_miss_curve([profiles[a] for a in group], n_ways)
+        curves[key] = curve
+    return curve
+
+
 def build_dendrogram(
-    profiles: Mapping[str, AppProfile], n_ways: int
+    profiles: Mapping[str, AppProfile],
+    n_ways: int,
+    curves: Optional[MissCurves] = None,
 ) -> List[List[List[str]]]:
     """Agglomerative merge order: list of groupings, from n clusters down to 1.
 
     The first element has every application in its own cluster; each following
     element merges the two clusters with the smallest Whirlpool distance of
-    the previous one.
+    the previous one.  Every group's combined miss curve lands in ``curves``
+    (when given), where :func:`evaluate_level` finds it again; a ``curves``
+    map must only ever see one ``profiles``/``n_ways`` pair.
     """
     if not profiles:
         raise ClusteringError("KPart needs at least one application")
+    if curves is None:
+        curves = {}
     groups: List[List[str]] = [[name] for name in profiles]
-    curves: Dict[Tuple[str, ...], np.ndarray] = {
-        tuple(group): combined_miss_curve([profiles[a] for a in group], n_ways)
-        for group in groups
-    }
+    for group in groups:
+        _miss_curve(curves, group, profiles, n_ways)
     levels: List[List[List[str]]] = [[list(g) for g in groups]]
     while len(groups) > 1:
         best_pair: Optional[Tuple[int, int]] = None
@@ -82,9 +105,7 @@ def build_dendrogram(
         merged = groups[i] + groups[j]
         groups = [g for idx, g in enumerate(groups) if idx not in (i, j)]
         groups.append(merged)
-        curves[tuple(merged)] = combined_miss_curve(
-            [profiles[a] for a in merged], n_ways
-        )
+        _miss_curve(curves, merged, profiles, n_ways)
         levels.append([list(g) for g in groups])
     return levels
 
@@ -93,21 +114,23 @@ def evaluate_level(
     groups: Sequence[Sequence[str]],
     profiles: Mapping[str, AppProfile],
     n_ways: int,
+    curves: Optional[MissCurves] = None,
 ) -> Tuple[List[int], float]:
     """Size the clusters of one hierarchy level and estimate its throughput.
 
     Returns the per-cluster way counts (from lookahead over the combined MPKI
     curves) and the estimated weighted speedup: the sum over applications of
     the IPC they would achieve at their cluster's share divided by their alone
-    IPC.
+    IPC.  Combined miss curves are read from ``curves`` (as filled by
+    :func:`build_dendrogram`) and built only for groups missing there.
     """
     if len(groups) > n_ways:
         raise ClusteringError(
             f"{len(groups)} clusters cannot each receive a way out of {n_ways}"
         )
-    miss_curves = [
-        combined_miss_curve([profiles[a] for a in group], n_ways) for group in groups
-    ]
+    if curves is None:
+        curves = {}
+    miss_curves = [_miss_curve(curves, group, profiles, n_ways) for group in groups]
     ways = lookahead(miss_curves, n_ways, min_ways=1)
     speedup = 0.0
     for group, way in zip(groups, ways):
@@ -139,14 +162,15 @@ class KPartPolicy(ClusteringPolicy):
         self._check_workload(profiles, platform)
         k = platform.llc_ways
         resampled = {name: p.resampled(k) for name, p in profiles.items()}
-        levels = build_dendrogram(resampled, k)
+        curves: MissCurves = {}
+        levels = build_dendrogram(resampled, k, curves)
         best: Optional[_Level] = None
         for groups in levels:
             if len(groups) > k:
                 continue  # infeasible level: more clusters than ways
             if self.max_clusters is not None and len(groups) > self.max_clusters:
                 continue
-            ways, speedup = evaluate_level(groups, resampled, k)
+            ways, speedup = evaluate_level(groups, resampled, k, curves)
             if best is None or speedup > best.estimated_speedup + 1e-12:
                 best = _Level(
                     groups=tuple(tuple(g) for g in groups),

@@ -11,6 +11,7 @@ from repro.apps import (
     sensitive_curves,
     streaming_curves,
 )
+from repro.apps.profile import FastProfileView
 from repro.errors import ProfileError
 from repro.hardware import skylake_gold_6138
 
@@ -144,6 +145,15 @@ class TestAppProfile:
     def test_zero_ways_rejected(self, profile):
         with pytest.raises(ProfileError):
             profile.ipc_at(0)
+
+    @pytest.mark.parametrize("ways", [float("nan"), -1.0, 0.0])
+    def test_non_positive_or_nan_ways_rejected_by_both_readers(self, profile, ways):
+        # AppProfile and FastProfileView share one reader, so both reject
+        # NaN with the same typed error naming the profile and the value.
+        for reader in (profile, FastProfileView(profile)):
+            for accessor in (reader.llcmpkc_at, reader.ipc_at):
+                with pytest.raises(ProfileError, match=r"'demo' at (nan|-1\.0|0\.0) ways"):
+                    accessor(ways)
 
     def test_describe_reports_key_stats(self, profile):
         info = profile.describe()

@@ -65,6 +65,37 @@ class TestUnfairnessAndStp:
         with pytest.raises(ReproError):
             stp([1.0, -2.0])
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_slowdowns_rejected(self, bad):
+        values = [1.2, bad, 1.5]
+        for metric in (unfairness, stp, antt, jain_index):
+            with pytest.raises(ReproError, match="finite"):
+                metric(values)
+        with pytest.raises(ReproError, match="finite"):
+            compute_metrics({"a": 1.2, "b": bad})
+
+    def test_compute_metrics_bit_identical_to_per_metric_formulas(self):
+        # One validated array feeds all four metrics; each value must equal
+        # the standalone formula on a fresh array, bit for bit.
+        rng = np.random.default_rng(11)
+        standalone = {"unfairness": unfairness, "stp": stp, "antt": antt, "jain": jain_index}
+        for size in (1, 2, 7, 16):
+            values = (1.0 + rng.random(size) * 3.0).tolist()
+            metrics = compute_metrics({f"a{i}": v for i, v in enumerate(values)})
+            arr = np.asarray(values, dtype=float)
+            speedups = 1.0 / arr
+            expected = {
+                "unfairness": float(arr.max() / arr.min()),
+                "stp": float(np.sum(1.0 / arr)),
+                "antt": float(arr.mean()),
+                "jain": float(speedups.sum() ** 2 / (speedups.size * np.sum(speedups**2))),
+            }
+            for name, value in expected.items():
+                got = getattr(metrics, name)
+                bits = np.float64(got).view(np.int64)
+                assert bits == np.float64(value).view(np.int64), (size, name)
+                assert got == standalone[name](values), (size, name)
+
     def test_compute_metrics_bundle(self):
         metrics = compute_metrics({"a": 1.0, "b": 2.0})
         assert metrics.unfairness == pytest.approx(2.0)

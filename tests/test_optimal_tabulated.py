@@ -6,10 +6,12 @@ guarantee across seeded workloads, both objectives and every solver entry
 point (exhaustive, branch-and-bound, strict partitioning, parallel driver).
 """
 
+import numpy as np
 import pytest
 
+import repro.optimal.tabulated as tab_mod
 from repro.errors import SolverError
-from repro.hardware import skylake_gold_6138
+from repro.hardware import skylake_gold_6138, small_test_platform
 from repro.optimal import (
     CachedObjective,
     TabulatedObjective,
@@ -142,6 +144,77 @@ class TestParallelSharedTables:
         assert _signature(parallel) == _signature(sequential)
 
 
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
+def _assert_rows_match_reference(platform, profiles, cluster_masks=None):
+    """Every solved (mask, ways) row equals ``cluster_pieces`` bit for bit."""
+    tables = TabulatedObjective(platform, profiles, cluster_masks=cluster_masks)
+    reference = CachedObjective(platform, profiles)
+    apps = tables.app_order
+    masks = cluster_masks or range(1, 1 << len(apps))
+    for mask in masks:
+        members = [app for j, app in enumerate(apps) if mask >> j & 1]
+        for ways in range(1, platform.llc_ways + 1):
+            row = tables.entry(mask, ways)
+            pieces = reference.cluster_pieces(members, ways)
+            slowdown = np.zeros(len(apps))
+            stall = np.zeros(len(apps))
+            for app in members:
+                slowdown[tables.app_index[app]] = pieces.cache_slowdowns[app]
+                stall[tables.app_index[app]] = pieces.stall_fractions[app]
+            where = (mask, ways)
+            assert _bits(tables._slowdown_rows[row]) == _bits(slowdown), where
+            assert _bits(tables._stall_rows[row]) == _bits(stall), where
+            assert _bits(tables._demand_rows[row]) == _bits(pieces.demand_total_gbs), where
+            assert _bits(tables._row_max[row]) == _bits(
+                max(pieces.cache_slowdowns.values())
+            ), where
+            assert _bits(tables._row_min[row]) == _bits(
+                min(pieces.cache_slowdowns.values())
+            ), where
+
+
+class TestDenseTableParity:
+    @pytest.mark.parametrize("size", range(1, 8))
+    def test_every_row_matches_cluster_pieces(self, size):
+        platform, profiles = _mix(40 + size, size=max(size, 2))
+        profiles = dict(list(profiles.items())[:size])
+        _assert_rows_match_reference(platform, profiles)
+
+    def test_singleton_masks_only(self):
+        platform, profiles = _mix(17, size=6)
+        masks = [1 << j for j in range(len(profiles))]
+        _assert_rows_match_reference(platform, profiles, cluster_masks=masks)
+
+    def test_two_way_platform(self):
+        platform = small_test_platform(ways=2, cores=4)
+        workload = random_workload("tab-2way", 4, kind="S", seed=8)
+        _assert_rows_match_reference(platform, workload.profiles(platform.llc_ways))
+
+    def test_profiles_shorter_than_the_llc(self):
+        # Curves of 6 and 8 points on an 11-way LLC: reads clip at each
+        # profile's own last point, not at the platform's way count.
+        platform = skylake_gold_6138()
+        workload = random_workload("tab-short", 5, kind="S", seed=23)
+        profiles = {
+            name: profile.resampled(6 if j % 2 else 8)
+            for j, (name, profile) in enumerate(
+                workload.profiles(platform.llc_ways).items()
+            )
+        }
+        _assert_rows_match_reference(platform, profiles)
+
+    def test_mask_blocks_do_not_change_rows(self, monkeypatch):
+        platform, profiles = _mix(29, size=6)
+        whole = TabulatedObjective(platform, profiles)
+        monkeypatch.setattr(tab_mod, "_MASK_BLOCK", 5)
+        blocked = TabulatedObjective(platform, profiles)
+        for name in ("_slowdown_rows", "_stall_rows", "_demand_rows", "_row_max", "_row_min"):
+            assert _bits(getattr(blocked, name)) == _bits(getattr(whole, name)), name
+
+
 class TestTabulatedObjective:
     def test_candidate_scores_match_reference(self):
         platform, profiles = _mix(42)
@@ -190,8 +263,6 @@ class TestTabulatedObjective:
 
     def test_too_many_apps_rejected(self):
         platform, profiles = _mix(3)
-        import repro.optimal.tabulated as tab_mod
-
         original = tab_mod.MAX_TABULATED_APPS
         tab_mod.MAX_TABULATED_APPS = 2
         try:

@@ -226,6 +226,23 @@ class TestKPart:
         with pytest.raises(ClusteringError):
             evaluate_level(groups, profiles, platform.llc_ways)
 
+    @pytest.mark.parametrize("n_apps", [4, 8, 13])
+    def test_decision_equals_curves_rebuilt_per_level(self, platform, catalog, n_apps):
+        # The policy reads each level's combined miss curves from the ones
+        # the dendrogram built; rebuilding them per level must not change
+        # a way count, a speedup or the decision.
+        k = platform.llc_ways
+        profiles = {name: catalog[name] for name in list(catalog)[:n_apps]}
+        best = None
+        for groups in build_dendrogram(profiles, k):
+            if len(groups) > k:
+                continue
+            ways, speedup = evaluate_level(groups, profiles, k)
+            if best is None or speedup > best[2] + 1e-12:
+                best = ([list(g) for g in groups], ways, speedup)
+        expected = ClusteringSolution.from_groups(best[0], best[1], k)
+        assert KPartPolicy().decide(profiles, platform) == expected
+
     def test_decision_covers_workload(self, platform, mix8):
         solution = KPartPolicy().cluster(mix8, platform)
         assert solution.covers(mix8)

@@ -23,6 +23,7 @@ from repro.metrics import compute_metrics, jain_index, stp, unfairness
 from repro.optimal import count_way_compositions, set_partitions, way_compositions
 from repro.simulator import OccupancyModel
 from repro.apps import AppProfile, CurveSet
+from repro.apps.profile import interp_unit_grid
 
 
 SETTINGS = settings(
@@ -216,3 +217,39 @@ def test_occupancy_conserves_cache_space(n_apps, seed):
     result = OccupancyModel().solve(allocation, profiles)
     assert sum(result.effective_ways.values()) == pytest.approx(n_ways, rel=2e-3)
     assert all(v > 0 for v in result.effective_ways.values())
+
+
+# -- scalar curve reads ---------------------------------------------------------------------
+
+
+@st.composite
+def curves_and_ways(draw):
+    n = draw(st.integers(min_value=1, max_value=20))
+    table = draw(
+        st.lists(
+            st.floats(min_value=0.0, max_value=1e3, allow_nan=False),
+            min_size=n,
+            max_size=n,
+        )
+    )
+    ways = draw(
+        st.one_of(
+            st.integers(min_value=1, max_value=n).map(float),  # grid points
+            st.sampled_from([1.0, float(n)]),  # clip edges
+            st.floats(min_value=1e-9, max_value=1.0, exclude_max=True),  # below 1
+            st.floats(min_value=float(n), max_value=4.0 * n + 8.0),  # beyond n
+            st.floats(min_value=1e-9, max_value=float(n)),
+        )
+    )
+    return table, ways
+
+
+@settings(max_examples=300, deadline=None)
+@given(curves_and_ways())
+def test_unit_grid_interp_is_bit_identical_to_np_interp(data):
+    # np.interp clamps to the end points itself, like the reader's clip.
+    table, ways = data
+    axis = np.arange(1, len(table) + 1, dtype=float)
+    expected = float(np.interp(ways, axis, table))
+    got = interp_unit_grid(table, ways, "h")
+    assert np.float64(got).view(np.int64) == np.float64(expected).view(np.int64)
