@@ -2,8 +2,8 @@
 
 Times a Fig. 7-style dynamic study — every workload under Stock-Linux, Dunn
 and LFOC — once through the original per-event ``reference`` engine and once
-through the ``incremental`` backend (vectorized struct-of-arrays state plus
-shared evaluation tables, batched through the study executor), and writes a
+through the ``incremental`` backend (one-member multi-run stacks over shared
+evaluation tables, batched through the study executor), and writes a
 machine-readable ``BENCH_engine.json`` at the repository root so the
 performance trajectory can be tracked across PRs.  The run *fails* if the two
 backends disagree on any study row — speed means nothing if the answers

@@ -5,7 +5,8 @@ and LFOC — three ways, all with ``jobs=1`` so the comparison isolates the
 engine, not process-level parallelism:
 
 * **per-run incremental** — the serial baseline: one ``RuntimeEngine`` per
-  (workload, driver) pair, sharing in-process evaluation tables;
+  (workload, driver) pair, each a one-member ``MultiRunEngine`` stack,
+  sharing in-process evaluation tables;
 * **multirun (cold)** — the same batch lowered onto grouped
   :class:`~repro.runtime.multirun.MultiRunEngine` stacks, tables built from
   scratch;
@@ -14,9 +15,13 @@ engine, not process-level parallelism:
   ``EngineConfig.tables_path`` (the spawned-worker warm-start path).
 
 Every arm must produce byte-identical study rows — the run *fails* on any
-mismatch — and the record includes a cold-vs-warm tables comparison (build
-time vs. mmap load time, file size, cache population).  Results land in
-``BENCH_multirun.json`` at the repository root.
+mismatch.  Since all three arms run the same multi-run kernels, the study
+also runs once (untimed) under the ``reference`` engine, whose separate
+per-event loop is the independent oracle: the cold and warm rows must equal
+its rows too (``rows_match_reference``).  The record includes a
+cold-vs-warm tables comparison (build time vs. mmap load time, file size,
+cache population).  Results land in ``BENCH_multirun.json`` at the
+repository root.
 
 ``--spawn-check`` additionally round-trips the warm start through a fresh
 spawn pool: the persisted tables are loaded by worker processes that share
@@ -157,6 +162,7 @@ def run_bench(
         instructions_per_run=1.0e9, min_completions=2, record_traces=False
     )
 
+    reference_rows, _ = _timed_study(workloads, config, 1, backend="reference")
     baseline_rows, baseline_s = _timed_study(
         workloads, config, repeats, backend="incremental"
     )
@@ -176,6 +182,7 @@ def run_bench(
             )
 
     match = cold_rows == baseline_rows and warm_rows == baseline_rows
+    match_reference = cold_rows == reference_rows and warm_rows == reference_rows
     record = {
         "benchmark": "multi-run engine + warm-start tables (fig7 dynamic study)",
         "scale": "full" if full else "quick",
@@ -190,6 +197,7 @@ def run_bench(
         "speedup_cold": round(baseline_s / cold_s, 2),
         "speedup_warm": round(baseline_s / warm_s, 2),
         "rows_match": match,
+        "rows_match_reference": match_reference,
         "tables": tables,
         "summary": [
             {
@@ -220,7 +228,8 @@ def _render(record: dict) -> str:
         f"loaded in {record['tables']['load_s']:.4f}s "
         f"({record['tables']['file_bytes']} bytes, "
         f"{record['tables']['estimates']} estimates)",
-        f"  rows identical: {record['rows_match']}",
+        f"  rows identical: {record['rows_match']} "
+        f"(reference engine: {record['rows_match_reference']})",
     ]
     if "spawn_warm_rows_match" in record:
         lines.append(
@@ -236,7 +245,8 @@ def _write_results(record: dict) -> None:
 
 
 def test_multirun_equivalence():
-    """Pytest entry point: quick-scale run, every arm's rows must match.
+    """Pytest entry point: quick-scale run, every arm's rows must match
+    each other and the reference engine's.
 
     No wall-clock assertion here (timing gates belong to
     ``main(--min-speedup)`` where the caller opts in); the measured speedups
@@ -245,6 +255,7 @@ def test_multirun_equivalence():
     record = run_bench(full=False, repeats=1)
     _write_results(record)
     assert record["rows_match"], "multirun study rows diverged from per-run"
+    assert record["rows_match_reference"], "multirun study rows diverged from reference"
 
 
 def main(argv=None) -> int:
@@ -279,6 +290,9 @@ def main(argv=None) -> int:
     _write_results(record)
     if not record["rows_match"]:
         print("FAIL: multirun study rows diverged from the per-run baseline")
+        return 1
+    if not record["rows_match_reference"]:
+        print("FAIL: multirun study rows diverged from the reference engine")
         return 1
     if record.get("spawn_warm_rows_match") is False:
         print("FAIL: spawn-pool warm-start rows diverged from the baseline")

@@ -22,19 +22,15 @@ programmed in the (simulated) CAT hardware and to each application's current
 phase profile; whenever the allocation or any phase changes the rates are
 recomputed.
 
-Two execution backends produce bit-identical :class:`RunResult`\\ s:
-
-* ``incremental`` (default) keeps per-application state as NumPy
-  struct-of-arrays vectors, advances and searches events with array
-  arithmetic, and answers rate recomputations from shared
-  :class:`~repro.simulator.estimator.EvaluationTables` — an event only pays
-  for evaluation when its ``(allocation, phase epochs)`` combination has
-  never been seen;
-* ``reference`` preserves the original per-application dict loop and
-  re-runs the full contention estimator on every rate change.  It exists as
-  the validation oracle (the equivalence tests and the engine benchmark pin
-  the two backends against each other) and as the baseline the recorded
-  speedups are measured from.
+:class:`RuntimeEngine` holds one event loop of its own, the ``reference``
+backend: a per-application dict loop that re-runs the full contention
+estimator on every rate change.  It is the validation oracle (the
+equivalence tests and the engine benchmark pin the production path against
+it) and the baseline the recorded speedups are measured from.  Every other
+backend runs the workload as a one-member
+:class:`~repro.runtime.multirun.MultiRunEngine` stack over shared
+:class:`~repro.simulator.estimator.EvaluationTables`, the one production
+event loop; the two produce bit-identical :class:`RunResult`\\ s.
 
 The instruction budget defaults to a scaled-down value (the paper runs 150 G
 instructions per application; simulating that faithfully is unnecessary since
@@ -45,9 +41,7 @@ result and in EXPERIMENTS.md.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Tuple
-
-import numpy as np
+from typing import Dict, List, Mapping, Optional
 
 from repro.apps.phases import PhasedProfile
 from repro.apps.profile import AppProfile
@@ -57,102 +51,13 @@ from repro.hardware.cat import CatController
 from repro.hardware.cmt import CmtMonitor
 from repro.hardware.platform import PlatformSpec
 from repro.hardware.pmc import CounterDelta, derive_metrics
+from repro.runtime.config import EngineConfig, alone_completion_time
+from repro.runtime.multirun import MultiRunEngine
 from repro.runtime.results import AppRunStats, RepartitionEvent, RunResult, TracePoint
 from repro.runtime.scheduler import PolicyDriver
-from repro.simulator.estimator import (
-    ClusteringEstimator,
-    EvaluationTables,
-    ProfileSnapshot,
-    allocation_token,
-)
+from repro.simulator.estimator import ClusteringEstimator, EvaluationTables
 
 __all__ = ["EngineConfig", "RuntimeEngine", "alone_completion_time"]
-
-#: Safety margin (instructions) for treating a single-phase application as
-#: phase-inert: its only boundary must sit at least this far beyond the run
-#: budget so that neither the next-event search nor the boundary check could
-#: ever observe it (completions reset the phase position first).  The margin
-#: absorbs the worst-case overshoot of one clamped 1-nanosecond event.
-_INERT_PHASE_MARGIN = 64.0
-
-
-@dataclass(frozen=True)
-class EngineConfig:
-    """Execution parameters of the runtime engine."""
-
-    #: Instructions each application retires per completion.  The paper uses
-    #: 150e9; the default here is 150e9 / `instruction_scale`.
-    instructions_per_run: float = 2.0e9
-    #: Number of completions every application must reach before the run ends.
-    min_completions: int = 3
-    #: Partitioning interval in seconds (500 ms in the paper).
-    partition_interval_s: float = 0.5
-    #: Record per-application traces (LLCMPKC over time etc.).
-    record_traces: bool = True
-    #: Safety cap on simulated time (seconds) to guarantee termination.
-    max_simulated_seconds: float = 600.0
-    #: Evaluation/event-loop backend: ``"incremental"`` (vectorized state,
-    #: cached estimates), ``"reference"`` (original dict-based loop) or
-    #: ``"multirun"`` (incremental arithmetic, with ``run_study`` batching
-    #: compatible runs through :class:`~repro.runtime.multirun.MultiRunEngine`;
-    #: a single engine run under ``"multirun"`` takes the incremental path).
-    #: All produce bit-identical results.
-    backend: str = "incremental"
-    #: LRU bound on the shared evaluation tables' estimate cache (``None`` =
-    #: unbounded; only meaningful with the ``incremental`` backend).  Evicted
-    #: entries are recomputed on demand, so results are unaffected.
-    max_table_entries: Optional[int] = None
-    #: Warm-start file for the shared evaluation tables (``None`` = start
-    #: cold).  When set, every worker process seeds its tables from this
-    #: :meth:`~repro.simulator.estimator.EvaluationTables.load` snapshot if
-    #: the file exists; cached values are pure functions of their keys, so
-    #: warm starts change wall clock only, never results.
-    tables_path: Optional[str] = None
-
-    def __post_init__(self) -> None:
-        if self.instructions_per_run <= 0:
-            raise SimulationError("instructions_per_run must be positive")
-        if self.min_completions < 1:
-            raise SimulationError("min_completions must be >= 1")
-        if self.partition_interval_s <= 0:
-            raise SimulationError("partition_interval_s must be positive")
-        if self.max_simulated_seconds <= 0:
-            raise SimulationError("max_simulated_seconds must be positive")
-        if self.backend not in ("incremental", "reference", "multirun"):
-            raise SimulationError(f"unknown engine backend {self.backend!r}")
-        if self.max_table_entries is not None and self.max_table_entries < 1:
-            raise SimulationError(
-                "max_table_entries must be >= 1 (or None for unbounded)"
-            )
-
-    @property
-    def instruction_scale(self) -> float:
-        """How much smaller the budget is than the paper's 150 G instructions."""
-        return 150e9 / self.instructions_per_run
-
-
-def alone_completion_time(
-    profile: PhasedProfile, instructions: float, platform: PlatformSpec
-) -> float:
-    """Completion time (seconds) of one run of ``instructions`` executed alone.
-
-    The application starts at the beginning of its phase sequence (benchmarks
-    are restarted from scratch) and enjoys the whole LLC, so each phase runs at
-    its full-cache IPC.
-    """
-    if instructions <= 0:
-        raise SimulationError("instructions must be positive")
-    remaining = instructions
-    cycles = 0.0
-    index = 0
-    n = profile.n_phases
-    while remaining > 1e-6:
-        segment = profile.segments[index % n]
-        chunk = min(remaining, segment.instructions)
-        cycles += chunk / segment.profile.ipc_alone
-        remaining -= chunk
-        index += 1
-    return platform.cycles_to_seconds(cycles)
 
 
 @dataclass
@@ -201,52 +106,28 @@ class RuntimeEngine:
         self.config = config or EngineConfig()
         self.apps = list(phased_profiles)
         self.phased = dict(phased_profiles)
-        self.cat = CatController(platform)
-        self.cmt = CmtMonitor(platform)
-        # The estimator's profile table is updated as applications change phase.
-        self.estimator = ClusteringEstimator(
-            platform,
-            {name: prof.profile_at(0.0) for name, prof in self.phased.items()},
-        )
-        self._states: Dict[str, _AppState] = {}
-        self._allocation: Optional[WayAllocation] = None
-        self._alloc_token: Optional[tuple] = None
         self.tables: Optional[EvaluationTables] = None
-        self._snapshot: Optional[ProfileSnapshot] = None
-        if self.config.backend in ("incremental", "multirun"):
+        if self.config.backend != "reference":
+            # Shared with the one-member stack run() builds, which checks
+            # that caller-supplied tables match this platform and model.
             if tables is None:
                 tables = EvaluationTables(
                     platform, max_entries=self.config.max_table_entries
                 )
-            elif tables.params_signature() != EvaluationTables(platform).params_signature():
-                raise SimulationError(
-                    "shared evaluation tables were built for different "
-                    "platform or model parameters"
-                )
             self.tables = tables
-            self._snapshot = ProfileSnapshot(self.phased)
         elif tables is not None:
             raise SimulationError("tables are only used by the incremental backend")
-        # Struct-of-arrays state of the incremental backend; inert
-        # placeholders here, (re)built at the top of every _run_incremental.
-        self._ipc: Optional[np.ndarray] = None
-        self._llcmpkc: Optional[np.ndarray] = None
-        self._stall: Optional[np.ndarray] = None
-        self._eff: Optional[np.ndarray] = None
-        self._rate: Optional[np.ndarray] = None
-        self._advance: Optional[np.ndarray] = None
-        self._phase_pos: Optional[np.ndarray] = None
-        self._rate_vectors: Dict[tuple, tuple] = {}
-        self._alloc_ids: Dict[tuple, int] = {}
-        self._alloc_id = -1
-        self._phase_epoch_watch: List[Tuple[int, float, List[float]]] = []
-        # Per-application phase-token matrix (incremental backend): the
-        # snapshot's profiles are interned into the shared tables once at the
-        # top of _run_incremental; afterwards a phase epoch is described
-        # purely by token and no profile objects are re-registered.
-        self._phase_tokens: List[Tuple[int, ...]] = []
-        self._phase_views: List[tuple] = []
-        self._epoch_token_maps: Dict[tuple, Dict[str, int]] = {}
+        else:
+            self.cat = CatController(platform)
+            self.cmt = CmtMonitor(platform)
+            # The estimator's profile table is updated as applications change
+            # phase.
+            self.estimator = ClusteringEstimator(
+                platform,
+                {name: prof.profile_at(0.0) for name, prof in self.phased.items()},
+            )
+        self._states: Dict[str, _AppState] = {}
+        self._allocation: Optional[WayAllocation] = None
 
     # -- main entry point ------------------------------------------------------------
 
@@ -254,12 +135,15 @@ class RuntimeEngine:
         """Run the workload to completion and return the collected results."""
         if self.config.backend == "reference":
             return self._run_reference(workload_name)
-        # "multirun" on a single engine is the degenerate one-member group,
-        # which is exactly the incremental path (cross-run batching lives in
-        # repro.runtime.multirun and the study layer).
-        return self._run_incremental(workload_name)
+        (result,) = MultiRunEngine(
+            self.platform,
+            [(workload_name, self.phased, self.driver)],
+            self.config,
+            tables=self.tables,
+        ).run()
+        return result
 
-    # -- shared pieces ---------------------------------------------------------------
+    # -- reference backend ------------------------------------------------------------
 
     def _initial_stats(self) -> Dict[str, AppRunStats]:
         config = self.config
@@ -296,8 +180,6 @@ class RuntimeEngine:
             repartitions=repartitions,
             final_allocation=self._allocation,
         )
-
-    # -- reference backend ------------------------------------------------------------
 
     def _run_reference(self, workload_name: str) -> RunResult:
         config = self.config
@@ -435,236 +317,6 @@ class RuntimeEngine:
 
         return self._finalize(workload_name, now, stats, traces, repartitions)
 
-    # -- incremental backend -----------------------------------------------------------
-
-    def _run_incremental(self, workload_name: str) -> RunResult:
-        config = self.config
-        platform = self.platform
-        driver = self.driver
-        stats = self._initial_stats()
-        traces: Dict[str, List[TracePoint]] = {name: [] for name in self.apps}
-        repartitions: List[RepartitionEvent] = []
-
-        names = self.apps
-        n = len(names)
-        cps = platform.cycles_per_second
-        ipr = config.instructions_per_run
-        completion_edge = config.instructions_per_run - 1.0
-
-        # Struct-of-arrays state: one (6, n) matrix whose rows are the
-        # per-application counters, advanced with a single fused add per
-        # event (the per-row addends share the row layout, see _recompute).
-        # The phase position is not tracked separately: it advances by the
-        # same increments as instructions_in_run and both reset to zero at a
-        # completion, so phase_position == instructions_in_run is an invariant
-        # (the reference backend keeps the two fields and maintains it).
-        state = np.zeros((6, n))
-        iir = state[0]  # instructions_in_run == phase_position
-        to_sample = state[1]
-        to_sample[:] = [float(driver.sample_window(name)) for name in names]
-        win_instr = state[2]
-        win_cycles = state[3]
-        win_misses = state[4]
-        win_stalls = state[5]
-        scratch = np.zeros(n)  # event-search scratch buffer
-        addend = np.empty((6, n))
-        self._ipc = np.ones(n)
-        self._llcmpkc = np.zeros(n)
-        self._stall = np.zeros(n)
-        self._eff = np.zeros(n)
-        self._rate = np.full(n, cps)
-        self._advance = np.zeros((6, n))
-        self._phase_pos = iir
-        self._rate_vectors = {}
-        self._alloc_ids: Dict[tuple, int] = {}
-        self._alloc_id = -1
-        # Applications with real phase sequences (epoch lookup in recompute).
-        self._phase_epoch_watch: List[Tuple[int, float, List[float]]] = [
-            (
-                i,
-                self.phased[name].cycle_instructions,
-                [segment.instructions for segment in self.phased[name].segments],
-            )
-            for i, name in enumerate(names)
-            if self.phased[name].n_phases > 1
-        ]
-        # Intern every (application, phase) profile once; rate recomputations
-        # then work entirely in token space (see _recompute_rates_incremental).
-        snapshot = self._snapshot
-        tables = self.tables
-        assert snapshot is not None and tables is not None
-        token_map = snapshot.tokenize(tables)
-        self._phase_tokens = [token_map[name] for name in names]
-        self._phase_views = [
-            tuple(tables.view_for_token(token) for token in tokens)
-            for tokens in self._phase_tokens
-        ]
-        self._epoch_token_maps = {}
-
-        # Phase-epoch bookkeeping: a single-phase application whose only
-        # boundary lies safely beyond the run budget can never trigger a phase
-        # event (its phase position equals its instructions-in-run, which the
-        # completion check resets first), so the exact per-event boundary walk
-        # is restricted to the applications where it can matter.  The walk
-        # itself is inlined below with the cycle length and segment sizes
-        # precomputed — same arithmetic as
-        # :meth:`PhasedProfile.instructions_until_phase_change`.
-        phase_watch: List[Tuple[int, float, List[float]]] = []
-        for i, name in enumerate(names):
-            phased = self.phased[name]
-            inert = (
-                phased.n_phases == 1
-                and phased.segments[0].instructions >= ipr + _INERT_PHASE_MARGIN
-            )
-            if not inert:
-                phase_watch.append(
-                    (
-                        i,
-                        phased.cycle_instructions,
-                        [segment.instructions for segment in phased.segments],
-                    )
-                )
-
-        allocation = driver.on_start(names, platform)
-        self._program(allocation, 0.0, "start", repartitions)
-        ncomp = [0] * n  # completions per app
-        pending = n  # apps still below min_completions
-
-        now = 0.0
-        next_interval = config.partition_interval_s
-        last_completion_start = [0.0] * n
-
-        while pending:
-            if now > config.max_simulated_seconds:
-                raise SimulationError(
-                    f"simulation exceeded the {config.max_simulated_seconds}s safety cap "
-                    f"(policy {driver.name!r}, workload {workload_name!r})"
-                )
-            # ---- find the next event -------------------------------------------------
-            # rate = ipc * cycles_per_second, computed (and zero-checked) once
-            # per rate vector in _recompute_rates_incremental.
-            rate = self._rate
-            # min(sample/rate, remaining/rate) == min(sample, remaining)/rate
-            # element-wise (positive rates preserve the ordering and the
-            # winning quotient is computed by the identical division).
-            np.subtract(ipr, iir, out=scratch)
-            np.minimum(scratch, to_sample, out=scratch)
-            np.divide(scratch, rate, out=scratch)
-            dt = min(next_interval - now, float(scratch.min()))
-            for i, cycle, segments in phase_watch:
-                position = float(iir[i]) % cycle
-                for segment in segments:
-                    if position < segment:
-                        until = segment - position
-                        break
-                    position -= segment
-                else:  # pragma: no cover - numeric edge
-                    until = segments[0]
-                dt = min(dt, until / rate[i])
-            dt = max(float(dt), 1e-9)
-
-            # ---- advance every application by dt -------------------------------------
-            # One fused update: rows 0-3 of the template scale with dt
-            # (instructions / cycles), rows 4-5 with cycles (misses / stalls);
-            # each element reproduces the reference's scalar expression.
-            cycles = dt * cps
-            template = self._advance
-            np.multiply(template[:4], dt, out=addend[:4])
-            np.multiply(template[4:], cycles, out=addend[4:])
-            addend[4] /= 1000.0
-            state += addend
-            now += dt
-
-            rates_dirty = False
-
-            # ---- phase boundaries ------------------------------------------------------
-            for i, cycle, segments in phase_watch:
-                position = float(iir[i]) % cycle
-                for segment in segments:
-                    if position < segment:
-                        if segment - position <= 1.0:
-                            rates_dirty = True
-                        break
-                    position -= segment
-                else:  # pragma: no cover - numeric edge
-                    if segments[0] <= 1.0:
-                        rates_dirty = True
-
-            # ---- completions / restarts --------------------------------------------------
-            if iir.max() >= completion_edge:
-                for i in np.nonzero(iir >= completion_edge)[0]:
-                    name = names[i]
-                    stats[name].completion_times.append(now - last_completion_start[i])
-                    stats[name].instructions_retired += float(iir[i])
-                    last_completion_start[i] = now
-                    iir[i] = 0.0  # restart from scratch (run and phase position)
-                    ncomp[i] += 1
-                    if ncomp[i] == config.min_completions:
-                        pending -= 1
-                    rates_dirty = True
-
-            # ---- counter samples ------------------------------------------------------------
-            if to_sample.min() <= 1.0:
-                sampled = np.nonzero(to_sample <= 1.0)[0]
-                # Monitoring snapshot hoisted to once per event batch.
-                state_snapshot: Dict[str, Dict[str, float]] = (
-                    driver.describe_state() if config.record_traces else {}
-                )
-                for i in sampled:
-                    name = names[i]
-                    delta = CounterDelta(
-                        instructions=float(win_instr[i]),
-                        cycles=float(win_cycles[i]),
-                        llc_misses=float(win_misses[i]),
-                        stalls_l2_miss=float(win_stalls[i]),
-                    )
-                    metrics = derive_metrics(delta)
-                    stats[name].samples_taken += 1
-                    win_instr[i] = 0.0
-                    win_cycles[i] = 0.0
-                    win_misses[i] = 0.0
-                    win_stalls[i] = 0.0
-                    if config.record_traces:
-                        snapshot = state_snapshot.get(name, {})
-                        traces[name].append(
-                            TracePoint(
-                                time_s=now,
-                                instructions=stats[name].instructions_retired
-                                + float(iir[i]),
-                                ipc=metrics.ipc,
-                                llcmpkc=metrics.llcmpkc,
-                                stall_fraction=metrics.stall_fraction,
-                                effective_ways=float(self._eff[i]),
-                                app_class=str(snapshot.get("class", "n/a")),
-                            )
-                        )
-                    new_allocation = driver.on_sample(
-                        name, metrics, float(self._eff[i]), now
-                    )
-                    to_sample[i] = driver.sample_window(name)
-                    if new_allocation is not None:
-                        self._program(new_allocation, now, f"sample:{name}", repartitions)
-                        rates_dirty = True
-
-            # ---- partitioning interval ----------------------------------------------------------
-            if now >= next_interval - 1e-12:
-                next_interval += config.partition_interval_s
-                new_allocation = driver.on_interval(now)
-                if new_allocation is not None:
-                    self._program(new_allocation, now, "interval", repartitions)
-                    rates_dirty = True
-
-            if rates_dirty:
-                self._recompute_rates()
-
-        # The simulated CMT occupancy feed is write-only during a run (nothing
-        # reads it back until the run is over), so the incremental backend
-        # pushes the readings once at the end instead of on every rate
-        # recomputation; the final monitor state matches the reference's.
-        for i, name in enumerate(names):
-            self.cmt.update_occupancy(name, float(self._eff[i]))
-        return self._finalize(workload_name, now, stats, traces, repartitions)
-
     # -- internals ------------------------------------------------------------------------------------
 
     def _program(
@@ -682,11 +334,6 @@ class RuntimeEngine:
             )
         self.cat.apply_allocation(allocation.masks)
         self._allocation = allocation
-        self._alloc_token = allocation_token(allocation)
-        if self.config.backend != "reference":
-            self._alloc_id = self._alloc_ids.setdefault(
-                self._alloc_token, len(self._alloc_ids)
-            )
         repartitions.append(
             RepartitionEvent(time_s=now, reason=reason, masks=dict(allocation.masks))
         )
@@ -694,12 +341,6 @@ class RuntimeEngine:
 
     def _recompute_rates(self) -> None:
         """Refresh every application's IPC/miss/stall rates from the estimator."""
-        if self.config.backend == "reference":
-            self._recompute_rates_reference()
-        else:
-            self._recompute_rates_incremental()
-
-    def _recompute_rates_reference(self) -> None:
         if self._allocation is None:
             raise SimulationError("no allocation programmed")
         # Update the estimator's profiles to each application's current phase.
@@ -716,86 +357,3 @@ class RuntimeEngine:
             )
             state.effective_ways = effective
             self.cmt.update_occupancy(name, effective)
-
-    def _recompute_rates_incremental(self) -> None:
-        if self._allocation is None:
-            raise SimulationError("no allocation programmed")
-        tables = self.tables
-        assert tables is not None
-        pos = self._phase_pos  # phase position == instructions_in_run
-        if pos is None:
-            raise SimulationError(
-                "the incremental backend computes rates only inside run()"
-            )
-        # Phase epochs: which phase every application currently executes
-        # (inlined replica of PhasedProfile.phase_index_at; single-phase
-        # applications are pinned to epoch 0).
-        epochs: List[int] = [0] * len(self.apps)
-        for i, cycle, segments in self._phase_epoch_watch:
-            position = float(pos[i]) % cycle
-            index = len(segments) - 1
-            for j, segment in enumerate(segments):
-                if position < segment:
-                    index = j
-                    break
-                position -= segment
-            epochs[i] = index
-        epoch_key = tuple(epochs)
-        key = (self._alloc_id, epoch_key)
-        vectors = self._rate_vectors.get(key)
-        if vectors is None:
-            # Token-space evaluation: only the tokens of the applications
-            # whose phase changed differ from the previous epoch's map, and
-            # no profile objects are re-registered for the others (the
-            # per-app dirty-estimate delta; the occupancy layer then
-            # re-solves only the mask-sharing components whose member
-            # tokens changed).
-            token_map = self._epoch_token_maps.get(epoch_key)
-            if token_map is None:
-                token_map = {
-                    name: self._phase_tokens[i][epochs[i]]
-                    for i, name in enumerate(self.apps)
-                }
-                self._epoch_token_maps[epoch_key] = token_map
-            estimate = tables.evaluate_tokens(
-                self._allocation, token_map, alloc_token=self._alloc_token
-            )
-            ipcs = estimate.ipcs
-            effective = estimate.effective_ways
-            ipc_vec = np.array([ipcs[name] for name in self.apps])
-            eff_vec = np.array([effective[name] for name in self.apps])
-            mpkc = []
-            stall = []
-            for i, name in enumerate(self.apps):
-                view = self._phase_views[i][epochs[i]]
-                eval_ways = max(effective[name], 0.25)
-                mpkc.append(view.llcmpkc_at(eval_ways))
-                stall.append(view.stall_fraction_at(eval_ways, self.platform))
-            rate_vec = ipc_vec * self.platform.cycles_per_second
-            if not rate_vec.min() > 0:
-                bad = self.apps[int(np.argmin(rate_vec))]
-                raise SimulationError(f"application {bad!r} has a zero rate")
-            mpkc_vec = np.array(mpkc)
-            stall_vec = np.array(stall)
-            # Advance-template rows matching the (6, n) state matrix:
-            # iir += rate*dt, to_sample -= rate*dt (added as (-rate)*dt, an
-            # exact negation), win_instr += rate*dt, win_cycles += cps*dt
-            # (== dt*cps), win_misses += (llcmpkc*cycles)/1000 and
-            # win_stalls += stall*cycles after the cycles scaling in the loop.
-            advance = np.empty((6, len(self.apps)))
-            advance[0] = rate_vec
-            np.negative(rate_vec, out=advance[1])
-            advance[2] = rate_vec
-            advance[3] = self.platform.cycles_per_second
-            advance[4] = mpkc_vec
-            advance[5] = stall_vec
-            vectors = (ipc_vec, mpkc_vec, stall_vec, eff_vec, rate_vec, advance)
-            self._rate_vectors[key] = vectors
-        (
-            self._ipc,
-            self._llcmpkc,
-            self._stall,
-            self._eff,
-            self._rate,
-            self._advance,
-        ) = vectors

@@ -1,17 +1,17 @@
 """Multi-run struct-of-arrays engine: advance many runs in lockstep rounds.
 
-A dynamic study executes many *independent* engine runs that share a shape —
-same platform, same engine configuration — and differ only in workload mix
-and policy driver.  The per-run incremental
-backend (:meth:`~repro.runtime.engine.RuntimeEngine._run_incremental`)
-already advances the applications *within* one run as a ``(6, n)``
-struct-of-arrays matrix; this module stacks ``R`` such runs along a leading
-run axis into ``(R, 6, n)`` and fuses the hot per-event array work — the
-next-event search and the state advance — into single NumPy expressions over
-the whole stack, amortising interpreter and ufunc-dispatch overhead across
-runs.
+This is the one production event loop.  A dynamic study executes many
+*independent* engine runs that share a shape — same platform, same engine
+configuration — and differ only in workload mix and policy driver.  Within
+one run the applications' counters form a ``(6, n)`` struct-of-arrays
+matrix; this module stacks ``R`` such runs along a leading run axis into
+``(R, 6, n)`` and fuses the hot per-event array work — the next-event search
+and the state advance — into single NumPy expressions over the whole stack,
+amortising interpreter and ufunc-dispatch overhead across runs.  A single
+:class:`~repro.runtime.engine.RuntimeEngine` run outside the ``reference``
+backend is the degenerate one-member stack.
 
-Why this is *bit-identical* to running each member serially: a member's time
+Why this is *bit-identical* to running each member alone: a member's time
 step depends only on its own state (its rate vector, its sample/phase/
 completion distances, its own interval clock), so each member experiences
 exactly the same ``(dt, event)`` sequence it would alone.  The stacked
@@ -19,9 +19,10 @@ arithmetic is elementwise (or an exact per-row ``min`` reduction), and
 elementwise IEEE-754 operations on a stacked array produce the same bits as
 the same operations on each row separately.  Everything with control flow —
 phase-boundary walks, completion bookkeeping, counter samples, driver
-callbacks, allocation programming — stays per-member Python, byte-for-byte
-the incremental backend's logic.  The differential-oracle grid in
-``tests/oracles.py`` pins this equivalence against both serial backends.
+callbacks, allocation programming — stays per-member Python, the same
+logic for every stack size.  The differential-oracle grid in
+``tests/oracles.py`` pins grouped stacks against one-member stacks and both
+against the ``reference`` engine.
 
 Members share one :class:`~repro.simulator.estimator.EvaluationTables`
 instance, so an ``(allocation, phase epochs)`` combination evaluated by any
@@ -53,11 +54,7 @@ from repro.hardware.cat import CatController
 from repro.hardware.cmt import CmtMonitor
 from repro.hardware.platform import PlatformSpec
 from repro.hardware.pmc import DerivedMetrics
-from repro.runtime.engine import (
-    EngineConfig,
-    _INERT_PHASE_MARGIN,
-    alone_completion_time,
-)
+from repro.runtime.config import EngineConfig, alone_completion_time
 from repro.runtime.results import AppRunStats, RepartitionEvent, RunResult, TracePoint
 from repro.runtime.scheduler import PolicyDriver
 from repro.simulator.estimator import (
@@ -69,6 +66,13 @@ from repro.simulator.estimator import (
 __all__ = ["MultiRunEngine", "RunGroup", "group_run_specs"]
 
 _INF = float("inf")
+
+#: Safety margin (instructions) for treating a single-phase application as
+#: phase-inert: its only boundary must sit at least this far beyond the run
+#: budget so that neither the next-event search nor the boundary check could
+#: ever observe it (completions reset the phase position first).  The margin
+#: absorbs the worst-case overshoot of one clamped 1-nanosecond event.
+_INERT_PHASE_MARGIN = 64.0
 
 
 @dataclass(frozen=True)
@@ -139,10 +143,10 @@ def group_run_specs(
 class _MemberRun:
     """Bookkeeping for one member run of a multi-run group.
 
-    Carries exactly the per-run state the incremental backend keeps between
-    events — driver, simulated hardware, stats/traces, phase watch lists,
-    token/rate-vector caches and the member's own clocks — while the hot
-    numeric state lives in the engine's stacked arrays under ``row``.
+    Carries the per-run state kept between events — driver, simulated
+    hardware, stats/traces, phase watch lists, token/rate-vector caches and
+    the member's own clocks — while the hot numeric state lives in the
+    engine's stacked arrays under the member's row.
     """
 
     def __init__(
@@ -184,9 +188,13 @@ class _MemberRun:
         self.next_interval = config.partition_interval_s
         self.last_completion_start = [0.0] * n
         ipr = config.instructions_per_run
-        # Same watch lists as _run_incremental: epoch lookups for truly
-        # phased applications, exact boundary walks for every application
-        # whose only boundary could fall inside the run budget.
+        # Watch lists: epoch lookups for truly phased applications, exact
+        # boundary walks for every application whose only boundary could
+        # fall inside the run budget.  The phase position is not tracked
+        # separately: it advances by the same increments as
+        # instructions_in_run and both reset to zero at a completion, so
+        # phase_position == instructions_in_run is an invariant (the
+        # reference engine keeps the two fields and maintains it).
         self.phase_epoch_watch: List[Tuple[int, float, List[float]]] = [
             (
                 i,
@@ -237,7 +245,7 @@ class _MemberRun:
         self.walk_margin = float("inf") if not self.phase_watch else -1.0
         self.result: Optional[RunResult] = None
 
-    # -- allocation / rates (replicas of the incremental backend) -------------
+    # -- allocation / rates ----------------------------------------------------
 
     def program(
         self, allocation: WayAllocation, now: float, reason: str, pos: np.ndarray
@@ -266,11 +274,16 @@ class _MemberRun:
         self.recompute_rates(pos)
 
     def recompute_rates(self, pos: np.ndarray) -> None:
-        """Refresh this member's rate/advance vectors; replica of
-        :meth:`RuntimeEngine._recompute_rates_incremental` over the shared
-        tables (the caches here are per member, keyed exactly as there)."""
+        """Refresh this member's rate/advance vectors from the shared tables.
+
+        ``pos`` is the member's instructions-in-run row, which doubles as
+        its phase position.
+        """
         if self.allocation is None:
             raise SimulationError("no allocation programmed")
+        # Phase epochs: which phase every application currently executes
+        # (inlined PhasedProfile.phase_index_at; single-phase applications
+        # are pinned to epoch 0).
         epochs: List[int] = [0] * len(self.names)
         for i, cycle, segments in self.phase_epoch_watch:
             position = float(pos[i]) % cycle
@@ -285,6 +298,11 @@ class _MemberRun:
         key = (self.alloc_id, epoch_key)
         vectors = self.rate_vectors.get(key)
         if vectors is None:
+            # Token-space evaluation: only the tokens of the applications
+            # whose phase changed differ from the previous epoch's map, and
+            # no profile objects are re-registered; the occupancy layer then
+            # re-solves only the mask-sharing components whose member tokens
+            # changed.
             token_map = self.epoch_token_maps.get(epoch_key)
             if token_map is None:
                 token_map = {
@@ -331,6 +349,11 @@ class _MemberRun:
                 raise SimulationError(f"application {bad!r} has a zero rate")
             mpkc_vec = np.array(mpkc)
             stall_vec = np.array(stall)
+            # Advance-template rows matching the (6, n) state block:
+            # iir += rate*dt, to_sample -= rate*dt (added as (-rate)*dt, an
+            # exact negation), win_instr += rate*dt, win_cycles += cps*dt,
+            # win_misses += (llcmpkc*cycles)/1000 and win_stalls +=
+            # stall*cycles after the cycles scaling in the round loop.
             advance = np.empty((6, len(self.names)))
             advance[0] = rate_vec
             np.negative(rate_vec, out=advance[1])
@@ -360,7 +383,11 @@ class _MemberRun:
         self.rate_l = vectors[7]
 
     def finalize(self) -> None:
-        """Close the run out exactly as the serial engine does."""
+        """Close the run out and build its :class:`RunResult`."""
+        # The simulated CMT occupancy feed is write-only during a run
+        # (nothing reads it back until the run is over), so the readings are
+        # pushed once here instead of on every rate recomputation; the final
+        # monitor state matches the reference engine's.
         for i, name in enumerate(self.names):
             self.cmt.update_occupancy(name, float(self.eff[i]))
         for name, monitor_state in self.driver.describe_state().items():
@@ -389,8 +416,8 @@ class MultiRunEngine:
     triples; every member must bring the same number of applications.  All
     members share ``tables`` (created on demand), and :meth:`run` returns
     their :class:`~repro.runtime.results.RunResult`\\ s in member order, each
-    bit-identical to what a serial incremental ``RuntimeEngine`` would have
-    produced for that member alone.
+    bit-identical to what a one-member stack — and the ``reference``
+    ``RuntimeEngine`` — produces for that member alone.
 
     A member failure (safety cap, zero rate, driver error) aborts the whole
     group — a group is one executor task, and the study layer's quarantine
@@ -409,7 +436,7 @@ class MultiRunEngine:
         self.config = config or EngineConfig()
         if self.config.backend == "reference":
             raise SimulationError(
-                "the multi-run engine replicates the incremental backend; "
+                "the multi-run engine is the incremental backend; "
                 "use RuntimeEngine for reference-backend runs"
             )
         members = list(members)
@@ -446,8 +473,9 @@ class MultiRunEngine:
         completion_edge = config.instructions_per_run - 1.0
 
         # Stacked struct-of-arrays state: run r's (6, n) matrix is
-        # state3d[r], laid out exactly as the serial incremental backend's
-        # (iir, to_sample, win_instr, win_cycles, win_misses, win_stalls).
+        # state3d[r], with rows (iir, to_sample, win_instr, win_cycles,
+        # win_misses, win_stalls); iir is instructions_in_run, which is also
+        # the phase position (see _MemberRun).
         # Active runs always occupy the leading rows (see the compaction at
         # the bottom of the round loop), so every fused expression slices
         # [:R].
@@ -488,7 +516,10 @@ class MultiRunEngine:
             R = len(active)
 
             # ---- find each run's next event (fused across the stack) --------
-            # Identical elementwise operations to the serial search; the
+            # min(sample/rate, remaining/rate) == min(sample, remaining)/rate
+            # elementwise (positive rates preserve the ordering and the
+            # winning quotient is computed by the identical division), so
+            # this matches the reference engine's per-term search; the
             # per-run reduction min(axis=1) sees exactly the row's elements.
             iir2 = state3d[:R, 0]
             np.subtract(ipr, iir2, out=scratch2[:R])
@@ -532,7 +563,8 @@ class MultiRunEngine:
 
             # ---- advance every run by its own dt (one fused update) ---------
             # Broadcasting each run's dt (and dt*cps) over its (6, n) block
-            # multiplies exactly the element pairs the serial advance does.
+            # multiplies the same element pairs as advancing that run alone;
+            # each element reproduces the reference engine's scalar update.
             dt_col = dts[:R].reshape(R, 1, 1)
             cycles_col = (dts[:R] * cps).reshape(R, 1, 1)
             np.multiply(advance3d[:R, :4], dt_col, out=addend3d[:R, :4])
@@ -546,7 +578,7 @@ class MultiRunEngine:
             comp_l = iir2.max(axis=1).tolist()
             samp_l = state3d[:R, 1].min(axis=1).tolist()
 
-            # ---- per-member event processing (byte-for-byte serial logic) ---
+            # ---- per-member event processing (plain per-run logic) ----------
             finished_any = False
             for r, member in enumerate(active):
                 member.now = now = member.now + dt_l[r]

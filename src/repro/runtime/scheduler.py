@@ -25,7 +25,6 @@ from typing import Deque, Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.apps.profile import AppProfile
-from repro.core.caching import LruDict
 from repro.core.classification import AppClass
 from repro.core.lfoc import (
     DEFAULT_PARAMS,
@@ -343,9 +342,6 @@ class DunnUserLevelDaemon(PolicyDriver):
 
     name = "Dunn"
 
-    #: Bound on the daemon's fingerprint-keyed allocation cache (LRU).
-    _ALLOCATION_CACHE_ENTRIES = 4096
-
     def __init__(
         self,
         max_clusters: int = 4,
@@ -359,34 +355,13 @@ class DunnUserLevelDaemon(PolicyDriver):
         ----------
         backend:
             ``"incremental"`` (default) decides through the vectorized
-            :class:`~repro.policies.dunn.DunnPolicy` fast path and two
-            decision caches — a window-version check that returns the
-            previous allocation outright when no counter sample arrived
-            since the last interval, and a fingerprint-keyed allocation
-            cache over the measured stall vector; ``"reference"`` recomputes
-            every interval through the original silhouette loop.  Both
-            produce bit-identical allocations whenever candidate silhouette
-            scores are exactly tied or separated by more than the ~1e-12
-            implementation discrepancy (see :mod:`repro.policies.dunn`);
-            the differential-oracle suite pins the equivalence.
-
-        A note on when the two caches can actually hit (the fig7 benchmark
-        records zero hits for both, which is structural, not a bug):
-
-        * the *interval fast path* fires only when **no** counter sample
-          arrived since the last decision.  Counter samples land every
-          ~100 M instructions (tens of simulated milliseconds) while
-          partitioning intervals are 500 ms apart, so in the paper's
-          configuration every interval sees fresh samples and the fast path
-          can only fire when ``partition_interval_s`` is pushed *below* the
-          sampling period;
-        * the *allocation cache* keys on the exact bytes of the rolling-mean
-          stall vector.  Means recur bit-for-bit only when the underlying
-          windows do — e.g. a stationary phase emitting identical samples —
-          which real fig7 runs (windows accumulated over varying event
-          chunks) essentially never produce.  Both situations are exercised
-          by the repeated-window test in
-          ``tests/test_driver_differential.py``.
+            :class:`~repro.policies.dunn.DunnPolicy` fast path;
+            ``"reference"`` recomputes every interval through the original
+            silhouette loop.  Both produce bit-identical allocations
+            whenever candidate silhouette scores are exactly tied or
+            separated by more than the ~1e-12 implementation discrepancy
+            (see :mod:`repro.policies.dunn`); the differential-oracle suite
+            pins the equivalence.
         """
         if backend not in ("incremental", "reference"):
             raise SimulationError(f"unknown Dunn driver backend {backend!r}")
@@ -401,13 +376,6 @@ class DunnUserLevelDaemon(PolicyDriver):
         self._stall_history: Dict[str, Deque[float]] = {}
         self._platform: Optional[PlatformSpec] = None
         self._apps: List[str] = []
-        # Incremental-backend decision state.
-        self._window_version = 0
-        self._decided_version: Optional[int] = None
-        self._last_allocation: Optional[WayAllocation] = None
-        self._allocations = LruDict(self._ALLOCATION_CACHE_ENTRIES)
-        self.interval_fast_hits = 0
-        self.allocation_cache_hits = 0
         self.intervals_computed = 0
 
     def on_start(self, apps: Sequence[str], platform: PlatformSpec) -> WayAllocation:
@@ -416,13 +384,6 @@ class DunnUserLevelDaemon(PolicyDriver):
         self._stall_history = {
             app: deque(maxlen=self.history_window) for app in self._apps
         }
-        self._window_version = 0
-        self._decided_version = None
-        self._last_allocation = None
-        # Allocations are platform-shaped and the cache key is (apps, stall
-        # values) only, so a restart — possibly on a different platform —
-        # must not serve the previous run's masks.
-        self._allocations.clear()
         return WayAllocation(
             masks={app: platform.full_mask for app in self._apps},
             total_ways=platform.llc_ways,
@@ -432,7 +393,6 @@ class DunnUserLevelDaemon(PolicyDriver):
         self, app: str, metrics: DerivedMetrics, effective_ways: float, now: float
     ) -> Optional[WayAllocation]:
         self._stall_history[app].append(metrics.stall_fraction)
-        self._window_version += 1
         return None
 
     def on_interval(self, now: float) -> Optional[WayAllocation]:
@@ -440,15 +400,6 @@ class DunnUserLevelDaemon(PolicyDriver):
             raise SimulationError("driver used before on_start")
         if any(not history for history in self._stall_history.values()):
             return None  # not every application has been sampled yet
-        if self.backend == "incremental":
-            # No sample arrived since the last decision: the rolling means —
-            # and therefore the clustering — are unchanged.
-            if (
-                self._decided_version == self._window_version
-                and self._last_allocation is not None
-            ):
-                self.interval_fast_hits += 1
-                return self._last_allocation
         stalls = {
             app: short_mean(history) for app, history in self._stall_history.items()
         }
@@ -459,43 +410,15 @@ class DunnUserLevelDaemon(PolicyDriver):
 
         The construction itself lives in
         :meth:`~repro.policies.dunn.DunnPolicy.allocation_for_values` (shared
-        with the static policy); this wrapper adds the daemon's
-        fingerprint-keyed allocation cache so an exactly-recurring monitor
-        window skips re-clustering entirely.
+        with the static policy).
         """
         platform = self._platform
         assert platform is not None
         apps = list(stalls)
         values = np.array([stalls[a] for a in apps], dtype=float)
-        if self.backend == "reference":
-            self.intervals_computed += 1
-            return self._template.allocation_for_values(apps, values, platform)
-        key = (tuple(apps), values.tobytes())
-        allocation = self._allocations.get(key)
-        if allocation is None:
-            allocation = self._template.allocation_for_values(apps, values, platform)
-            self._allocations.put(key, allocation)
-            self.intervals_computed += 1
-        else:
-            self.allocation_cache_hits += 1
-        self._decided_version = self._window_version
-        self._last_allocation = allocation
-        return allocation
+        self.intervals_computed += 1
+        return self._template.allocation_for_values(apps, values, platform)
 
     def decision_stats(self) -> Dict[str, int]:
-        """Decision-layer counters (for the driver benchmark and tests).
-
-        The daemon deliberately does **not** report the underlying
-        ``DunnPolicy.choose_k`` cache counters: its allocation cache keys on
-        the same ``(apps, stall values)`` fingerprint and sits in front of
-        ``choose_k``, so within one daemon those counters could only ever
-        show hits after the 4096-entry allocation LRU evicted — they read as
-        permanently-zero dead weight in benchmark records.  The ``choose_k``
-        cache itself stays (and is still counted on :class:`DunnPolicy`,
-        where the static policy path exercises it).
-        """
-        return {
-            "intervals_computed": self.intervals_computed,
-            "interval_fast_hits": self.interval_fast_hits,
-            "allocation_cache_hits": self.allocation_cache_hits,
-        }
+        """Decision-layer counters (for the driver benchmark and tests)."""
+        return {"intervals_computed": self.intervals_computed}

@@ -158,8 +158,8 @@ def _ipc_with_extrapolation(
 class EvaluationTables:
     """Shared, incrementally-grown evaluation tables for repeated estimates.
 
-    This is the dense table cache behind the estimator's ``incremental``
-    backend and the runtime engine's default evaluation path.  It extends the
+    This is the dense table cache behind the runtime engine's production
+    (multi-run) evaluation path.  It extends the
     table-once-score-many idea of :mod:`repro.optimal.tabulated` from the
     static solvers to arbitrary (possibly overlapping) runtime allocations:
 
@@ -174,8 +174,8 @@ class EvaluationTables:
 
     Every cached value is produced by arithmetic that replicates the
     reference models operation for operation, so results are bit-identical
-    to :meth:`ClusteringEstimator.evaluate_allocation` with the default
-    ``reference`` backend (the equivalence is pinned by the test suite).
+    to :meth:`ClusteringEstimator.evaluate_allocation` (the equivalence is
+    pinned by the test suite).
     Instances are cheap to create, safe to share across runs of the same
     platform/model configuration, and picklable-by-construction callers
     (e.g. :class:`~repro.runtime.executors.PoolExecutor` workers) keep one
@@ -613,8 +613,8 @@ class EvaluationTables:
         :meth:`ProfileSnapshot.tokenize`).  No profile objects are touched:
         the caller re-registers nothing per evaluation, so a phase change of
         one application costs exactly one changed token in the key — the
-        per-application dirty-estimate delta the runtime engine's
-        incremental backend is built on.  Shares the estimate cache (and the
+        per-application dirty-estimate delta the multi-run engine's rate
+        recomputation is built on.  Shares the estimate cache (and the
         bit-identical results) with :meth:`evaluate`.
         """
         apps = allocation.apps()
@@ -704,57 +704,13 @@ class ClusteringEstimator:
         *,
         occupancy_model: Optional[OccupancyModel] = None,
         bandwidth_model: Optional[BandwidthModel] = None,
-        backend: str = "reference",
-        tables: Optional[EvaluationTables] = None,
     ) -> None:
-        """
-        Parameters
-        ----------
-        backend:
-            ``"reference"`` (default) recomputes every evaluation through the
-            original dict-based models; ``"incremental"`` answers repeated
-            evaluations from shared :class:`EvaluationTables` — bit-identical
-            results, amortised cost.
-        tables:
-            Optional pre-existing tables to share (``incremental`` only).
-            Must have been built for the same platform and model parameters.
-        """
         if not profiles:
             raise SimulationError("the estimator needs at least one application profile")
-        if backend not in ("reference", "incremental"):
-            raise SimulationError(f"unknown estimator backend {backend!r}")
         self.platform = platform
         self.profiles: Dict[str, AppProfile] = dict(profiles)
         self.occupancy_model = occupancy_model or OccupancyModel()
         self.bandwidth_model = bandwidth_model or BandwidthModel()
-        self.backend = backend
-        self.tables: Optional[EvaluationTables] = None
-        if backend == "incremental":
-            if tables is None:
-                tables = EvaluationTables(
-                    platform,
-                    occupancy_model=self.occupancy_model,
-                    bandwidth_model=self.bandwidth_model,
-                )
-            else:
-                expected = (
-                    platform,
-                    (
-                        self.occupancy_model.max_iterations,
-                        self.occupancy_model.tolerance,
-                        self.occupancy_model.damping,
-                        self.occupancy_model.base_pressure,
-                    ),
-                    (self.bandwidth_model.sensitivity, self.bandwidth_model.max_factor),
-                )
-                if tables.params_signature() != expected:
-                    raise SimulationError(
-                        "shared evaluation tables were built for different "
-                        "platform or model parameters"
-                    )
-            self.tables = tables
-        elif tables is not None:
-            raise SimulationError("tables are only used by the incremental backend")
 
     # -- profile management ----------------------------------------------------
 
@@ -770,12 +726,9 @@ class ClusteringEstimator:
     def evaluate_allocation(self, allocation: WayAllocation) -> ClusterEstimate:
         """Evaluate an explicit (possibly overlapping) per-application allocation.
 
-        With the ``incremental`` backend this is a table lookup (computing and
-        caching the entry on first sight); the returned estimate is
-        bit-identical to the ``reference`` computation either way.
+        Recomputes through the dict-based models on every call; the cached,
+        bit-identical equivalent is :meth:`EvaluationTables.evaluate`.
         """
-        if self.tables is not None:
-            return self.tables.evaluate(allocation, self.profiles)
         for app in allocation.apps():
             if app not in self.profiles:
                 raise SimulationError(f"no profile registered for application {app!r}")

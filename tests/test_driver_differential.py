@@ -279,43 +279,34 @@ class TestDecisionCacheSoundness:
     """The caches must change cost, never results."""
 
     def test_dunn_caches_hit_on_repeated_windows(self, platform):
-        # Repeated-window scenario through the *public* driver interface.
-        # Real fig7 runs record zero hits for both Dunn caches, which is
-        # structural (samples always arrive between 500 ms intervals, and
-        # windows accumulated over varying event chunks never bit-recur);
-        # this drives the two situations where hits are possible:
-        # an interval with no intervening samples (version fast path), and
-        # windows refilled with identical values, whose rolling means — and
-        # therefore the allocation-cache fingerprint — recur exactly.
+        # Repeated-window scenario through the *public* driver interface:
+        # an interval with no intervening samples, and windows refilled
+        # with identical values, whose rolling means recur exactly.  Both
+        # must reproduce the earlier allocation.
         daemon = DunnUserLevelDaemon(backend="incremental", history_window=3)
         daemon.on_start(["a", "b", "c"], platform)
         stalls = {"a": 0.1, "b": 0.7, "c": 0.75}
         for app, value in stalls.items():
             daemon.on_sample(app, _stall_metrics(value), 11.0, 0.0)
-        assert daemon.on_interval(0.5) is not None
+        decided = daemon.on_interval(0.5)
+        assert decided is not None
         assert daemon.decision_stats()["intervals_computed"] == 1
-        # No sample since the decision: the window version is unchanged.
-        daemon.on_interval(1.0)
-        assert daemon.decision_stats()["interval_fast_hits"] == 1
+        # No sample since the decision: the rolling means are unchanged.
+        assert daemon.on_interval(1.0).masks == decided.masks
         # Fill every window with a constant value (stationary phase)...
         for _ in range(3):
             for app, value in stalls.items():
                 daemon.on_sample(app, _stall_metrics(value), 11.0, 1.2)
         first = daemon.on_interval(1.5)
-        assert daemon.decision_stats()["allocation_cache_hits"] == 0
-        # ...then refill it identically: versions advanced (no fast path),
-        # but the means are bit-identical, so the fingerprint cache hits.
+        # ...then refill it identically: the means are bit-identical, so
+        # the decision is too.
         for _ in range(3):
             for app, value in stalls.items():
                 daemon.on_sample(app, _stall_metrics(value), 11.0, 1.7)
         again = daemon.on_interval(2.0)
-        assert again is first
+        assert again.masks == first.masks
         stats = daemon.decision_stats()
-        assert stats["allocation_cache_hits"] == 1
-        assert stats["interval_fast_hits"] == 1
-        # The daemon no longer reports the DunnPolicy choose_k counters: its
-        # allocation cache shares their key and fronts them, so they could
-        # never hit through the daemon (dead weight in benchmark records).
+        # The daemon reports its own decision count only.
         assert "choose_k_cache_hits" not in stats
 
     def test_dunn_interval_fast_path_returns_same_allocation(self, platform):
@@ -324,8 +315,7 @@ class TestDecisionCacheSoundness:
         stalls = {"a": 0.1, "b": 0.7, "c": 0.75}
         first = daemon._allocation_from_stalls(stalls)
         again = daemon._allocation_from_stalls(stalls)
-        assert again is first  # fingerprint hit, not a recomputation
-        assert daemon.decision_stats()["allocation_cache_hits"] == 1
+        assert again.masks == first.masks
 
     def test_dunn_choose_k_cache_is_value_keyed(self):
         policy = DunnPolicy(backend="incremental")
@@ -361,8 +351,8 @@ class TestDecisionCacheSoundness:
         assert set(second.masks) == {"x", "y", "z"}
 
     def test_dunn_restart_on_other_platform_does_not_reuse_allocations(self):
-        # Regression: the allocation cache key is (apps, stall values) only,
-        # so a restart on a different platform must not hit it.
+        # Regression: the same (apps, stall values) restarted on a different
+        # platform must yield that platform's allocation.
         from repro.hardware import small_test_platform
 
         big = skylake_gold_6138()
@@ -374,7 +364,6 @@ class TestDecisionCacheSoundness:
         daemon.on_start(list(stalls), small)
         again = daemon._allocation_from_stalls(stalls)
         assert again.total_ways == small.llc_ways
-        assert daemon.decision_stats()["allocation_cache_hits"] == 0
 
     def test_lfoc_table_token_registry_is_bounded(self, platform):
         from repro.core import LfocDecisionCache

@@ -1,7 +1,7 @@
 """Bit-identity of the incremental evaluation layer and engine backend.
 
 The ``incremental`` paths (FastProfileView, the occupancy trajectory cache,
-EvaluationTables, the vectorized runtime-engine loop, serial batches) must
+EvaluationTables, the multi-run engine loop, serial batches) must
 reproduce the ``reference`` implementations *exactly* — same floats, same
 iteration counts, same traces — not merely approximately.  Every assertion
 in this module therefore uses strict equality.
@@ -23,6 +23,7 @@ from repro.runtime import (
     EngineConfig,
     LfocSchedulerPlugin,
     MonitorConfig,
+    MultiRunEngine,
     RunSpec,
     RuntimeEngine,
     SerialExecutor,
@@ -205,11 +206,11 @@ class TestEstimatorBackends:
         )
         profiles = workload.profiles(platform.llc_ways)
         reference = ClusteringEstimator(platform, profiles)
-        incremental = ClusteringEstimator(platform, profiles, backend="incremental")
+        tables = EvaluationTables(platform)
         for _ in range(25):
             allocation = _random_allocation(rng, list(profiles), platform.llc_ways)
             ref = reference.evaluate_allocation(allocation)
-            inc = incremental.evaluate_allocation(allocation)
+            inc = tables.evaluate(allocation, profiles)
             assert inc.slowdowns == ref.slowdowns
             assert inc.ipcs == ref.ipcs
             assert inc.effective_ways == ref.effective_ways
@@ -223,28 +224,15 @@ class TestEstimatorBackends:
     def test_repeated_evaluation_is_cached(self, platform):
         workload = Workload("est-mix2", ("lbm06", "gamess06"))
         profiles = workload.profiles(platform.llc_ways)
-        estimator = ClusteringEstimator(platform, profiles, backend="incremental")
+        tables = EvaluationTables(platform)
         allocation = WayAllocation(
             masks={a: platform.full_mask for a in profiles},
             total_ways=platform.llc_ways,
         )
-        first = estimator.evaluate_allocation(allocation)
-        again = estimator.evaluate_allocation(allocation)
+        first = tables.evaluate(allocation, profiles)
+        again = tables.evaluate(allocation, profiles)
         assert again is first  # a lookup, not a recomputation
-        assert estimator.tables.cache_sizes()["estimates"] == 1
-
-    def test_unknown_backend_rejected(self, platform):
-        profiles = Workload("e", ("lbm06",)).profiles(platform.llc_ways)
-        with pytest.raises(SimulationError):
-            ClusteringEstimator(platform, profiles, backend="warp")
-
-    def test_mismatched_shared_tables_rejected(self, platform):
-        profiles = Workload("e2", ("lbm06",)).profiles(platform.llc_ways)
-        tables = EvaluationTables(platform, occupancy_model=OccupancyModel(damping=0.9))
-        with pytest.raises(SimulationError):
-            ClusteringEstimator(
-                platform, profiles, backend="incremental", tables=tables
-            )
+        assert tables.cache_sizes()["estimates"] == 1
 
     def test_token_sharing_across_rebuilt_profiles(self, platform):
         workload = Workload("tok", ("lbm06", "mcf06"))
@@ -355,6 +343,69 @@ class TestEngineBackendEquivalence:
     def test_invalid_backend_rejected(self):
         with pytest.raises(SimulationError):
             EngineConfig(backend="turbo")
+
+
+class _ForgetfulDriver(StockLinuxDriver):
+    """Leaves the workload's last application out of its start allocation."""
+
+    name = "Forgetful"
+
+    def on_start(self, apps, platform):
+        return WayAllocation(
+            masks={app: platform.full_mask for app in apps[:-1]},
+            total_ways=platform.llc_ways,
+        )
+
+
+def _run_on(engine_kind, platform, workload, driver, config, tables=None):
+    """One run through ``RuntimeEngine`` under a backend, or a direct stack."""
+    profiles = workload.phased_profiles(platform.llc_ways)
+    if engine_kind == "multirun-engine":
+        engine = MultiRunEngine(
+            platform,
+            [(workload.name, profiles, driver)],
+            replace(config, backend="multirun"),
+            tables=tables,
+        )
+        return engine.run()[0]
+    engine = RuntimeEngine(
+        platform, profiles, driver, replace(config, backend=engine_kind), tables=tables
+    )
+    return engine.run(workload.name)
+
+
+@pytest.mark.parametrize("engine_kind", ["reference", "incremental", "multirun-engine"])
+class TestEngineErrorPaths:
+    """Failures surface as SimulationError naming what went wrong, on every path."""
+
+    def test_unallocated_application_named(self, platform, engine_kind):
+        workload = Workload("err-mix", ("lbm06", "gamess06"))
+        with pytest.raises(SimulationError) as excinfo:
+            _run_on(engine_kind, platform, workload, _ForgetfulDriver(), FAST)
+        message = str(excinfo.value)
+        assert "unallocated" in message
+        assert "'Forgetful'" in message
+        assert "gamess06.0" in message
+        assert "lbm06.0" not in message
+
+    def test_safety_cap_names_policy_and_workload(self, platform, engine_kind):
+        workload = Workload("cap-mix", ("lbm06", "gamess06"))
+        config = replace(FAST, instructions_per_run=1.0e12, max_simulated_seconds=0.01)
+        with pytest.raises(SimulationError) as excinfo:
+            _run_on(engine_kind, platform, workload, StockLinuxDriver(), config)
+        message = str(excinfo.value)
+        assert "safety cap" in message
+        assert "'Stock-Linux'" in message
+        assert "'cap-mix'" in message
+
+    def test_tables_with_other_model_parameters_rejected(self, platform, engine_kind):
+        workload = Workload("tab-mix", ("lbm06", "gamess06"))
+        tables = EvaluationTables(platform, occupancy_model=OccupancyModel(damping=0.9))
+        with pytest.raises(SimulationError, match="tables"):
+            _run_on(
+                engine_kind, platform, workload, StockLinuxDriver(), FAST, tables=tables
+            )
+        assert tables.cache_sizes()["estimates"] == 0
 
 
 def run_serial(platform, specs, config=None):
